@@ -2,7 +2,7 @@
 // integer-indexed tables, built once per spec_context and queried by every
 // per-fault diagnosis.
 //
-// Motivation (BENCH_replay.json): after the replay cache, the pipeline is
+// Motivation: with the replay cache alone, the reference pipeline is
 // overhead-bound — std::set churn in Steps 4/5A, per-replay simulator
 // construction, per-diagnosis firing-index rebuilds, and per-candidate
 // alphabet recomputation dominate wall time.  Everything in this header is
@@ -179,18 +179,15 @@ struct compiled_conflicts {
     const compiled_conflicts& cc);
 
 /// Compiled hypothesis replayer for one symptom report: same verdicts as
-/// hypothesis_consistent(spec, suite, report, ov), over packed states.
-///
-/// `prefix_skip` mirrors diagnoser_options::use_replay_cache: when true the
-/// replay uses the prefix lemma + re-synchronization (and bumps the replay
-/// cache's case-skip/suffix counters); when false every case replays from
-/// reset — the A/B configuration of `campaign --no-replay-cache`.
+/// hypothesis_consistent(spec, suite, report, ov), over packed states.  The
+/// replay uses the prefix lemma + re-synchronization and bumps the replay
+/// cache's case-skip/suffix counters.
 ///
 /// Not thread-safe (owns scratch buffers); build one per diagnosis.
 class flat_replayer {
   public:
     flat_replayer(const compiled_spec& cs, const system& spec,
-                  const symptom_report& report, bool prefix_skip);
+                  const symptom_report& report);
 
     [[nodiscard]] bool consistent(const transition_override& ov);
 
@@ -209,13 +206,10 @@ class flat_replayer {
                        std::uint32_t sym, const flat_override& ov) const;
     [[nodiscard]] bool suffix_consistent(std::size_t ci, std::uint32_t f,
                                          const flat_override& ov);
-    [[nodiscard]] bool full_replay(std::size_t ci, const flat_override& ov)
-        const;
 
     const compiled_spec* cs_;
     const system* spec_;  ///< error labels only
     const symptom_report* report_;
-    bool prefix_skip_;
     std::vector<case_obs> cases_;
     /// Epoch-tagged suffix memo, indexed by class representative step.
     std::vector<std::uint32_t> memo_epoch_;

@@ -144,7 +144,7 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
     const compiled_spec& cs = ctx.compiled();
     // The compiled core requires the packed-state representation; wider
     // systems transparently run the reference path.
-    const bool flat = options.use_compiled_core && cs.packable;
+    const bool flat = cs.packable;
 
     diagnosis_result result;
     auto mark = std::chrono::steady_clock::now();
@@ -192,12 +192,10 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
     // every hypothesis check below (including Step 6 escalation).
     std::optional<flat_replayer> flat_rep;
     std::optional<replay_cache> cache;
-    if (flat) {
-        flat_rep.emplace(cs, spec, result.symptoms,
-                         options.use_replay_cache);
-    } else if (options.use_replay_cache) {
+    if (flat)
+        flat_rep.emplace(cs, spec, result.symptoms);
+    else
         cache.emplace(ctx.make_replay_cache(result.symptoms));
-    }
     const replay_cache* cache_ptr = cache ? &*cache : nullptr;
     const auto evaluate_routed = [&] {
         if (flat) {
@@ -241,18 +239,17 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
     }
 
     // Step 6: adaptive discrimination, governed by the degradation ladder.
-    // `use_flat` and `joint_cap` start as configured (rung 0); a budget
-    // exhaustion mid-loop drops to rung 1 (reference search, tighter cap,
-    // a fresh step-quota grace so the rung itself stays bounded), a second
-    // exhaustion to rung 2 (skip discrimination entirely).  Hypotheses are
-    // only ever *removed* by genuine refutation, so every rung's live set
-    // still contains the truth — a stop widens the verdict, never flips it.
-    hypothesis_tracker tracker(spec, result.initial_diagnoses,
-                               options.use_replay_cache);
-    bool use_flat = options.use_flat_discrimination;
+    // Rung 0 searches through the context's discrimination engine with the
+    // configured `joint_cap`; a budget exhaustion mid-loop drops to rung 1
+    // (reference search, tighter cap, a fresh step-quota grace so the rung
+    // itself stays bounded), a second exhaustion to rung 2 (skip
+    // discrimination entirely).  Hypotheses are only ever *removed* by
+    // genuine refutation, so every rung's live set still contains the
+    // truth — a stop widens the verdict, never flips it.
+    hypothesis_tracker tracker(spec, result.initial_diagnoses);
+    bool use_flat = true;
     std::size_t joint_cap = options.max_joint_states;
-    if (use_flat)
-        tracker.use_engine(&ctx.discrim(), options.use_discrim_memo);
+    tracker.use_engine(&ctx.discrim());
     bool unreliable_tests = false;
     bool resource_stopped = false;
     int rung = 0;
@@ -268,10 +265,8 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
             // replay the evidence gathered so far.
             result.used_escalation = true;
             result.evaluated = evaluate_full();
-            tracker = hypothesis_tracker(spec, result.evaluated.diagnoses(),
-                                         options.use_replay_cache);
-            if (use_flat)
-                tracker.use_engine(&ctx.discrim(), options.use_discrim_memo);
+            tracker = hypothesis_tracker(spec, result.evaluated.diagnoses());
+            if (use_flat) tracker.use_engine(&ctx.discrim());
             for (const auto& rec : result.additional_tests) {
                 if (rec.quarantined) continue;
                 (void)tracker.apply_result(rec.tc.inputs, rec.observed);
@@ -334,8 +329,7 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
         // a pathological rung must still terminate.
         use_flat = false;
         joint_cap = std::min(joint_cap, rung_joint_cap);
-        tracker = hypothesis_tracker(spec, tracker.alive(),
-                                     options.use_replay_cache);
+        tracker = hypothesis_tracker(spec, tracker.alive());
         const run_budget* exhausted = detail::current_budget();
         rung_budget = exhausted ? exhausted->cancel_only() : run_budget{};
         rung_budget.with_step_quota(rung_grace_steps);

@@ -174,35 +174,12 @@ struct diagnoser_options {
     /// Re-evaluate with the full hypothesis space if the flag-routed pass
     /// finds nothing (see diag/diagnosis.hpp).
     bool escalate_if_empty = true;
-    /// Route Step 5B/6 hypothesis replays through the replay cache
-    /// (diag/replay_cache.hpp): firing-index prefix skipping + snapshot
-    /// suffix simulation.  Results are byte-identical with the cache on or
-    /// off; off exists for A/B measurement (`campaign --no-replay-cache`).
-    /// With the compiled core this picks between the flat replayer's
-    /// prefix-skipping and full-replay modes — the same A/B axis.
-    bool use_replay_cache = true;
-    /// Run Steps 4-5C on the flat compiled core (diag/compiled.hpp):
-    /// bitset conflict/candidate algebra and the flat hypothesis replayer
-    /// over the spec_context's precompiled tables.  Results are
-    /// byte-identical to the reference structures; off exists for A/B
-    /// measurement (`campaign --no-compiled-core`) and as the automatic
-    /// fallback for systems whose packed state exceeds 64 bits.
-    bool use_compiled_core = true;
-    /// Route Step 6's joint splitting-sequence searches through the
-    /// spec_context's flat discrimination engine (diag/discrim_engine.hpp):
-    /// compiled joint BFS, pairwise splitting tables, cross-fault memo.
-    /// Results are byte-identical to the reference search; off exists for
-    /// A/B measurement (`campaign --no-flat-discrimination`).
-    bool use_flat_discrimination = true;
-    /// Share splitting-sequence results across faults through the engine's
-    /// memo (only effective with use_flat_discrimination).  Byte-identical
-    /// on or off and at any worker count; off exists for A/B measurement
-    /// (`campaign --no-discrim-memo`).
-    bool use_discrim_memo = true;
     std::size_t max_additional_tests = 200;
     /// Visited-state bound of each joint splitting-sequence search
     /// (`campaign --max-joint-states`).  A search that hits the bound
-    /// conservatively reports "no splitting sequence".
+    /// reports "no splitting sequence", which Step 6 and scoring read as
+    /// "equivalent": a capped search can therefore claim equivalence for
+    /// distinguishable survivors (ROADMAP's tri-state discrimination item).
     std::size_t max_joint_states = 100'000;
     step6_options step6;
     /// Optional resource budget governing this diagnosis.  Installed for
@@ -222,7 +199,11 @@ struct diagnoser_options {
 /// consulted once per suite case plus once per applied additional test.
 /// This is the primary entry point: the context's compiled tables and
 /// Step-1 traces are shared across every diagnosis (a campaign builds one
-/// context for all faults).
+/// context for all faults).  Steps 4-5C run on the compiled core
+/// (diag/compiled.hpp) and Step 6 searches through the context's
+/// discrimination engine (diag/discrim_engine.hpp); systems whose packed
+/// state exceeds 64 bits run the reference Steps 4-5C over the replay cache
+/// instead, with identical results.
 [[nodiscard]] diagnosis_result diagnose(const spec_context& ctx, oracle& iut,
                                         const diagnoser_options& options = {});
 

@@ -629,7 +629,7 @@ std::optional<std::vector<global_input>> discrim_engine::compute(
 
 std::optional<std::vector<global_input>> discrim_engine::splitting_sequence(
     const std::vector<std::vector<transition_override>>& hypotheses,
-    std::size_t max_joint_states, bool use_memo) const {
+    std::size_t max_joint_states) const {
     if (hypotheses.size() < 2) return std::nullopt;
 
     // Canonicalize: lowered overrides + sorted hypothesis order.  The
@@ -653,8 +653,6 @@ std::optional<std::vector<global_input>> discrim_engine::splitting_sequence(
               [](const flat_hyp& a, const flat_hyp& b) {
                   return a.enc < b.enc;
               });
-
-    if (!use_memo) return compute(hyps, hypotheses, max_joint_states);
 
     key_type key;
     key.push_back(static_cast<std::uint32_t>(max_joint_states));
@@ -741,11 +739,11 @@ discrim_engine::structured_proposals(const hypothesis_tracker& tracker,
 
 bool observationally_equivalent(const discrim_engine& engine,
                                 const diagnosis& a, const diagnosis& b,
-                                std::size_t max_states, bool use_memo) {
+                                std::size_t max_states) {
     if (a == b) return true;  // identical hypotheses
     return !engine
                 .splitting_sequence({{a.to_override()}, {b.to_override()}},
-                                    max_states, use_memo)
+                                    max_states)
                 .has_value();
 }
 

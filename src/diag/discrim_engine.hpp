@@ -97,11 +97,11 @@ class discrim_engine {
     /// Drop-in replacement for splitting_sequence(spec, hypotheses, max):
     /// byte-identical result (the BFS-canonical shortest splitting
     /// sequence, or nullopt when the hypotheses are observationally
-    /// equivalent within the cap).  `use_memo` shares results across calls
-    /// and threads through the sharded memo.
+    /// equivalent within the cap), shared across calls and threads through
+    /// the sharded memo.
     [[nodiscard]] std::optional<std::vector<global_input>> splitting_sequence(
         const std::vector<std::vector<transition_override>>& hypotheses,
-        std::size_t max_joint_states, bool use_memo) const;
+        std::size_t max_joint_states) const;
 
     /// Campaign-wide spec replay of `inputs`: the sequence_replay the
     /// tracker's splits()/apply_result() would otherwise construct per
@@ -220,12 +220,12 @@ class discrim_engine {
 };
 
 /// Engine-backed observational equivalence: same verdict as
-/// observationally_equivalent(spec, a, b, max_states), shared through the
-/// engine's memo when `use_memo`.
+/// observationally_equivalent(spec, a, b, max_states) — including its
+/// reading of a hit bound as *equivalent* — shared through the engine's
+/// memo.
 [[nodiscard]] bool observationally_equivalent(const discrim_engine& engine,
                                               const diagnosis& a,
                                               const diagnosis& b,
-                                              std::size_t max_states = 100'000,
-                                              bool use_memo = true);
+                                              std::size_t max_states = 100'000);
 
 }  // namespace cfsmdiag

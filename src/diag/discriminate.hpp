@@ -18,6 +18,7 @@
 // any black-box diagnoser can do.
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "diag/diagnosis.hpp"
@@ -35,18 +36,17 @@ class discrim_engine;
 
 class hypothesis_tracker {
   public:
-    /// `accelerate` routes splits()/apply_result() through sequence_replay
-    /// (prefix skipping per hypothesis); verdicts are identical either way.
-    hypothesis_tracker(const system& spec, std::vector<diagnosis> initial,
-                       bool accelerate = true);
+    /// splits()/apply_result() run through sequence_replay (prefix
+    /// skipping per hypothesis); verdicts equal predict()'s.
+    hypothesis_tracker(const system& spec, std::vector<diagnosis> initial);
 
-    /// Routes find_splitting_sequence() through the compiled discrimination
-    /// engine (diag/discrim_engine.hpp): flat joint BFS, pairwise splitting
-    /// tables and — when `memoize` — the engine's campaign-wide memo.
-    /// Results are byte-identical to the reference search; nullptr detaches.
-    void use_engine(const discrim_engine* engine, bool memoize) noexcept {
+    /// Routes find_splitting_sequence() and the spec replays of splits()/
+    /// apply_result() through the compiled discrimination engine
+    /// (diag/discrim_engine.hpp): flat joint BFS, pairwise splitting tables
+    /// and the engine's campaign-wide memo and replay cache.  Results are
+    /// byte-identical to the reference search; nullptr detaches.
+    void use_engine(const discrim_engine* engine) noexcept {
         engine_ = engine;
-        memoize_ = memoize;
     }
 
     [[nodiscard]] const std::vector<diagnosis>& alive() const noexcept {
@@ -56,7 +56,9 @@ class hypothesis_tracker {
         return alive_.size();
     }
 
-    /// Predicted observations of `inputs` (from reset) under hypothesis i.
+    /// Predicted observations of `inputs` (from reset) under hypothesis i,
+    /// by plain simulation: the reference splits()/apply_result() are
+    /// tested against.
     [[nodiscard]] std::vector<observation> predict(
         std::size_t i, const std::vector<global_input>& inputs) const;
 
@@ -71,22 +73,27 @@ class hypothesis_tracker {
 
     /// Shortest input sequence (from reset) on which two live hypotheses
     /// disagree, found by BFS over the joint hypothesis state space;
-    /// nullopt when all live hypotheses are observationally equivalent (or
-    /// the bound is hit).
+    /// nullopt when all live hypotheses are observationally equivalent or
+    /// the bound is hit (the two are not told apart).
     [[nodiscard]] std::optional<std::vector<global_input>>
     find_splitting_sequence(std::size_t max_joint_states = 100'000) const;
 
   private:
+    /// The spec replay of `inputs`: from the engine's cache when attached,
+    /// else built for this call.
+    [[nodiscard]] std::shared_ptr<const sequence_replay> replay(
+        const std::vector<global_input>& inputs) const;
+
     const system* spec_;
     std::vector<diagnosis> alive_;
-    bool accelerate_;
     const discrim_engine* engine_ = nullptr;
-    bool memoize_ = true;
 };
 
 /// True if spec⊕a and spec⊕b produce identical observations on every input
-/// sequence (pairwise product BFS; `max_states` bounds the search — a hit
-/// bound conservatively reports *not* equivalent).
+/// sequence (pairwise product BFS).  `max_states` bounds the search, and a
+/// search that hits the bound finds no splitting sequence, so it reports
+/// *equivalent* — unproven, and possibly wrong (ROADMAP's tri-state
+/// discrimination item).
 [[nodiscard]] bool observationally_equivalent(
     const system& spec, const diagnosis& a, const diagnosis& b,
     std::size_t max_states = 100'000);

@@ -40,7 +40,7 @@ namespace cfsmdiag {
 /// workers get attributable per-fault counts without synchronization; the
 /// count is monotone — snapshot before and after a diagnose() run and
 /// subtract.  Cached and uncached replays count alike, so the count is
-/// independent of `use_replay_cache`.
+/// the same on the compiled and reference paths.
 [[nodiscard]] std::size_t hypothesis_replays() noexcept;
 
 /// Simulator steps (`simulator::apply` calls) performed by the calling

@@ -54,9 +54,7 @@ struct campaign_budget {
     /// with one caveat: the cross-fault discrimination memo lets a memo
     /// hit skip an entire joint search's worth of governed steps, so which
     /// entry pays for a shared search (and therefore where a tight quota
-    /// trips) can vary with jobs/resume segmentation.  For strictly
-    /// reproducible quota behaviour pair this with
-    /// `diag.use_discrim_memo = false`.
+    /// trips) can vary with jobs/resume segmentation.
     std::optional<std::uint64_t> entry_step_quota;
     /// Per-entry memory quota in bytes, accounted from bit_arena and BFS
     /// frontier capacities.

@@ -87,10 +87,6 @@ std::string canonical_options(const campaign_options& o) {
     s += ";structured_step6=" + std::to_string(o.diag.structured_step6);
     s += ";fallback_search=" + std::to_string(o.diag.fallback_search);
     s += ";escalate_if_empty=" + std::to_string(o.diag.escalate_if_empty);
-    s += ";replay_cache=" + std::to_string(o.diag.use_replay_cache);
-    s += ";compiled_core=" + std::to_string(o.diag.use_compiled_core);
-    s += ";flat_discrim=" + std::to_string(o.diag.use_flat_discrimination);
-    s += ";discrim_memo=" + std::to_string(o.diag.use_discrim_memo);
     s += ";max_additional_tests=" +
          std::to_string(o.diag.max_additional_tests);
     s += ";max_joint_states=" + std::to_string(o.diag.max_joint_states);

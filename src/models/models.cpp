@@ -147,9 +147,9 @@ system token_ring(std::size_t n) {
     for (std::size_t i = 1; i <= n; ++i) {
         const std::size_t next = i % n + 1;
         const std::size_t prev = (i + n - 2) % n + 1;
-        builders.push_back(station("St" + std::to_string(i),
-                                   machine_id{next - 1}, tok(i, next),
-                                   tok(prev, i)));
+        const machine_id dest{static_cast<std::uint32_t>(next - 1)};
+        builders.push_back(station("St" + std::to_string(i), dest,
+                                   tok(i, next), tok(prev, i)));
         // Station 1 additionally owns token injection.
         if (i == 1)
             builders.back().external("inject1", "idle", "inject", "created",
@@ -237,7 +237,8 @@ system rtos_round_robin(std::size_t n) {
         const std::string q_j = "q" + std::to_string(j);
         s.internal("dispatch" + std::to_string(j), q_j,
                    "tick" + std::to_string(j), "go" + std::to_string(j),
-                   "q" + std::to_string((j + 1) % n), machine_id{j + 1});
+                   "q" + std::to_string((j + 1) % n),
+                   machine_id{static_cast<std::uint32_t>(j + 1)});
         for (std::size_t i = 0; i < n; ++i)
             s.external("log" + std::to_string(j) + "_" + std::to_string(i),
                        q_j, "ack" + std::to_string(i),

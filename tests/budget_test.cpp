@@ -213,15 +213,15 @@ void check_ladder_soundness(const fixture& fx,
         // Not starved (or starved and recovered on a cheaper rung): the
         // soundness bit may never flip off relative to the reference.
         EXPECT_EQ(bud[i].detected, ref[i].detected);
-        if (ref[i].sound) EXPECT_TRUE(bud[i].sound);
+        if (ref[i].sound) {
+            EXPECT_TRUE(bud[i].sound);
+        }
     }
 }
 
 TEST(degradation_ladder, aggressive_step_quota_classifies_everything) {
     campaign_options tight;
-    // Low enough to starve most Figure-1 faults mid-pipeline; the memo is
-    // off so quota trips are independent of cross-fault sharing.
-    tight.diag.use_discrim_memo = false;
+    // Low enough to starve most Figure-1 faults mid-pipeline.
     tight.budget.entry_step_quota = 300;
     check_ladder_soundness(figure1_fixture(), tight);
 }
@@ -230,7 +230,6 @@ TEST(degradation_ladder, aggressive_quota_on_random_systems) {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         SCOPED_TRACE("system seed " + std::to_string(seed));
         campaign_options tight;
-        tight.diag.use_discrim_memo = false;
         tight.budget.entry_step_quota = 150 + 40 * seed;
         check_ladder_soundness(random_fixture(seed, 25), tight);
     }
@@ -238,7 +237,6 @@ TEST(degradation_ladder, aggressive_quota_on_random_systems) {
 
 TEST(degradation_ladder, tiny_memory_quota_classifies_everything) {
     campaign_options tight;
-    tight.diag.use_discrim_memo = false;
     tight.budget.entry_memory_bytes = 256;  // trips on the first arena
     check_ladder_soundness(figure1_fixture(60), tight);
 }
@@ -246,7 +244,6 @@ TEST(degradation_ladder, tiny_memory_quota_classifies_everything) {
 TEST(degradation_ladder, stats_count_starved_entries_separately) {
     const auto fx = figure1_fixture();
     campaign_options tight;
-    tight.diag.use_discrim_memo = false;
     // Low enough to starve Steps 1-5 outright for most faults (the Step-6
     // ladder's grace rung would otherwise still classify them normally).
     tight.budget.entry_step_quota = 25;

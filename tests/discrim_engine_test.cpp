@@ -1,7 +1,8 @@
 // The flat discrimination engine (diag/discrim_engine.hpp): result identity
-// with the reference joint search — per splitting-sequence call and through
-// the full diagnose()/run_campaign() pipeline — across {flat, reference} ×
-// {memo on, off} × {jobs 1, 2}, the property that every returned sequence
+// with the reference joint search — per splitting-sequence call (memo miss
+// and hit) and through the full diagnose()/run_campaign() pipeline, whose
+// Step 6 is replayed through an engine-less tracker — across cold and warm
+// contexts at jobs 1 and 2, the property that every returned sequence
 // actually splits its hypothesis set, error parity on malformed overrides,
 // and determinism of the memo counters at any job count.
 #include <gtest/gtest.h>
@@ -9,13 +10,16 @@
 #include <algorithm>
 #include <string>
 
-#include "cfsmdiag.hpp"
+#include "helpers.hpp"
 
 namespace cfsmdiag {
 namespace {
 
-/// Engine (memo on and off) vs reference search, including thrown error
-/// parity, for one hypothesis set and cap.
+using testing_helpers::expect_step6_matches_reference;
+
+/// Engine vs reference search, including thrown error parity, for one
+/// hypothesis set and cap.  The second, identical call is served by the
+/// memo (when the first did not throw).
 void expect_engine_matches_reference(
     const cfsmdiag::system& spec, const discrim_engine& engine,
     const std::vector<std::vector<transition_override>>& hyps,
@@ -29,14 +33,15 @@ void expect_engine_matches_reference(
         ref_threw = true;
         ref_msg = e.what();
     }
-    for (const bool memo : {true, false}) {
-        SCOPED_TRACE("cap " + std::to_string(cap) + ", memo " +
-                     std::to_string(memo));
+    for (const bool second_call : {false, true}) {
+        SCOPED_TRACE("cap " + std::to_string(cap) + ", call " +
+                     std::to_string(1 + second_call));
+        const std::size_t hits = discrim_totals().memo_hits;
         std::optional<std::vector<global_input>> flat;
         bool flat_threw = false;
         std::string flat_msg;
         try {
-            flat = engine.splitting_sequence(hyps, cap, memo);
+            flat = engine.splitting_sequence(hyps, cap);
         } catch (const error& e) {
             flat_threw = true;
             flat_msg = e.what();
@@ -46,6 +51,9 @@ void expect_engine_matches_reference(
             EXPECT_EQ(ref_msg, flat_msg);
         } else {
             EXPECT_EQ(ref, flat);
+            if (second_call && hyps.size() >= 2) {
+                EXPECT_EQ(discrim_totals().memo_hits, hits + 1);
+            }
         }
     }
 }
@@ -134,7 +142,7 @@ TEST(discrim_engine, returned_sequences_actually_split) {
             const std::vector<std::vector<transition_override>> hyps{
                 all[i], all[j]};
             const auto seq =
-                ctx.discrim().splitting_sequence(hyps, 100'000, true);
+                ctx.discrim().splitting_sequence(hyps, 100'000);
             if (!seq) continue;
             ++sequences;
             SCOPED_TRACE("pair " + std::to_string(i) + "," +
@@ -159,33 +167,36 @@ TEST(discrim_engine, returned_sequences_actually_split) {
 }
 
 TEST(discrim_engine, diagnose_identical_flat_vs_reference_paper) {
+    // Every production Step 6 (engine-backed) replayed through the
+    // reference: same structured proposals, same fallback sequences as
+    // splitting_sequence(spec, ...), same survivors — and the reference
+    // path never touches the engine.
     const auto ex = paperex::make_paper_example();
-    diagnoser_options flat;
-    diagnoser_options reference;
-    reference.use_flat_discrimination = false;
-
+    const spec_context ctx(ex.spec, ex.suite);
+    std::size_t fallbacks = 0;
     for (const auto& fault : enumerate_all_faults(ex.spec)) {
         SCOPED_TRACE(describe(ex.spec, fault));
-        simulated_iut iut_a(ex.spec, fault);
-        simulated_iut iut_b(ex.spec, fault);
-        const auto a = diagnose(ex.spec, ex.suite, iut_a, flat);
-        const auto b = diagnose(ex.spec, ex.suite, iut_b, reference);
-        EXPECT_EQ(a.outcome, b.outcome);
-        EXPECT_EQ(a.initial_diagnoses, b.initial_diagnoses);
-        EXPECT_EQ(a.final_diagnoses, b.final_diagnoses);
-        ASSERT_EQ(a.additional_tests.size(), b.additional_tests.size());
-        for (std::size_t i = 0; i < a.additional_tests.size(); ++i) {
-            EXPECT_EQ(a.additional_tests[i].tc.inputs,
-                      b.additional_tests[i].tc.inputs);
-            EXPECT_EQ(a.additional_tests[i].purpose,
-                      b.additional_tests[i].purpose);
-            EXPECT_EQ(a.additional_tests[i].observed,
-                      b.additional_tests[i].observed);
-        }
+        simulated_iut iut(ex.spec, fault);
+        const auto result = diagnose(ctx, iut);
+        expect_step6_matches_reference(ex.spec, result);
+        fallbacks += result.used_fallback_search;
     }
+    // Structured-only campaigns would leave the joint search unchecked.
+    diagnoser_options search_only;
+    search_only.structured_step6 = false;
+    for (const auto& fault : enumerate_all_faults(ex.spec)) {
+        SCOPED_TRACE("fallback search only, " + describe(ex.spec, fault));
+        simulated_iut iut(ex.spec, fault);
+        const auto result = diagnose(ctx, iut, search_only);
+        expect_step6_matches_reference(ex.spec, result, search_only);
+        fallbacks += result.used_fallback_search;
+    }
+    EXPECT_GT(fallbacks, 0u);
 }
 
 TEST(discrim_engine, campaign_entries_identical_across_all_configurations) {
+    // {cold context, warm context (memo hits instead of searches)} x
+    // {jobs 1, 2}: byte-identical entries.
     rng random(42);
     random_system_options opts;
     opts.machines = 2;
@@ -196,40 +207,32 @@ TEST(discrim_engine, campaign_entries_identical_across_all_configurations) {
     auto faults = enumerate_all_faults(sys);
     if (faults.size() > 40) faults.resize(40);
 
-    campaign_options base;
-    campaign_engine baseline_engine(sys, suite, faults, base);
+    campaign_engine baseline_engine(sys, suite, faults, {});
     const auto baseline = baseline_engine.run().entries;
-    EXPECT_TRUE(baseline_engine.metrics().flat_discrimination_enabled);
-    EXPECT_TRUE(baseline_engine.metrics().discrim_memo_enabled);
 
-    for (const bool flat : {true, false}) {
-        for (const bool memo : {true, false}) {
-            for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}}) {
-                campaign_options o;
-                o.diag.use_flat_discrimination = flat;
-                o.diag.use_discrim_memo = memo;
-                o.jobs = jobs;
-                campaign_engine e(sys, suite, faults, o);
-                const auto& entries = e.run().entries;
-                ASSERT_EQ(entries.size(), baseline.size());
-                for (std::size_t i = 0; i < entries.size(); ++i) {
-                    SCOPED_TRACE("flat " + std::to_string(flat) + ", memo " +
-                                 std::to_string(memo) + ", jobs " +
-                                 std::to_string(jobs) + ", fault #" +
-                                 std::to_string(i) + ": " +
-                                 describe(sys, entries[i].fault));
-                    EXPECT_EQ(entries[i], baseline[i]);
-                }
-                EXPECT_EQ(e.metrics().flat_discrimination_enabled, flat);
-                EXPECT_EQ(e.metrics().discrim_memo_enabled, flat && memo);
-                if (!flat) {
-                    // The reference path must never touch the engine.
-                    EXPECT_EQ(e.metrics().discrim_joint_states, 0u);
-                    EXPECT_EQ(e.metrics().discrim_memo_hits, 0u);
-                    EXPECT_EQ(e.metrics().discrim_memo_misses, 0u);
-                    EXPECT_EQ(e.metrics().discrim_table_answers, 0u);
-                    EXPECT_EQ(e.metrics().discrim_bfs_searches, 0u);
-                }
+    const spec_context warm(sys, suite);
+    for (const bool shared : {false, true}) {
+        for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}}) {
+            campaign_options o;
+            o.jobs = jobs;
+            std::optional<campaign_engine> e;
+            if (shared)
+                e.emplace(warm, faults, o);
+            else
+                e.emplace(sys, suite, faults, o);
+            const auto& entries = e->run().entries;
+            ASSERT_EQ(entries.size(), baseline.size());
+            for (std::size_t i = 0; i < entries.size(); ++i) {
+                SCOPED_TRACE("shared context " + std::to_string(shared) +
+                             ", jobs " + std::to_string(jobs) +
+                             ", fault #" + std::to_string(i) + ": " +
+                             describe(sys, entries[i].fault));
+                EXPECT_EQ(entries[i], baseline[i]);
+            }
+            if (shared && jobs == 2) {
+                // The second run on the warm context searches nothing new.
+                EXPECT_EQ(e->metrics().discrim_memo_misses, 0u);
+                EXPECT_EQ(e->metrics().discrim_bfs_searches, 0u);
             }
         }
     }
@@ -290,7 +293,7 @@ TEST(discrim_engine, malformed_override_error_parity) {
         ref_msg = e.what();
     }
     try {
-        (void)ctx.discrim().splitting_sequence(hyps, 1000, true);
+        (void)ctx.discrim().splitting_sequence(hyps, 1000);
         FAIL() << "engine accepted duplicate targets";
     } catch (const error& e) {
         EXPECT_EQ(ref_msg, std::string(e.what()));

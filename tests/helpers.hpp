@@ -1,7 +1,11 @@
-// Shared fixtures for the unit tests: a small two-machine system and
-// shortcuts for building inputs/observations.
+// Shared fixtures for the unit tests: a small two-machine system,
+// shortcuts for building inputs/observations, and the reference-pipeline
+// checks that production diagnoses are compared against.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -69,6 +73,206 @@ inline std::string render(const system& sys,
     std::vector<std::string> cells;
     for (const auto& o : obs) cells.push_back(to_string(o, sys.symbols()));
     return join(cells, ", ");
+}
+
+// --- the reference pipeline, called directly ------------------------------
+//
+// Production diagnose() runs Steps 4-5C on the compiled core and Step 6
+// through the context's discrimination engine.  The reference
+// implementations below (std::set conflict/candidate sets,
+// hypothesis_consistent replays with or without a replay_cache, the
+// engine-less hypothesis_tracker and the reference joint search) must
+// reproduce every production result exactly.
+
+/// The reference Steps 4-5C for one symptom report, as diagnose() sequences
+/// them (including the flag-routed pass's escalation when it finds
+/// nothing), with the hypothesis replays Step 5B cost.  `cache` null means
+/// plain from-reset simulation.
+struct reference_steps {
+    conflict_sets conflicts;
+    candidate_sets candidates;
+    diagnostic_candidates evaluated;
+    std::vector<diagnosis> initial_diagnoses;
+    std::size_t replays = 0;
+};
+
+inline reference_steps run_reference_steps(const system& spec,
+                                           const test_suite& suite,
+                                           const symptom_report& report,
+                                           const diagnoser_options& options,
+                                           const replay_cache* cache) {
+    reference_steps out;
+    out.conflicts = generate_conflict_sets(spec, report);
+    out.candidates = generate_candidates(spec, report, out.conflicts);
+    const std::size_t base = hypothesis_replays();
+    const auto full = [&] {
+        return evaluate_candidates_escalated(
+            spec, suite, report, out.candidates,
+            options.include_addressing_faults, cache);
+    };
+    if (options.evaluation == evaluation_mode::complete) {
+        out.evaluated = full();
+    } else {
+        out.evaluated =
+            evaluate_candidates(spec, suite, report, out.candidates, cache);
+        if (out.evaluated.diagnoses().empty() && options.escalate_if_empty)
+            out.evaluated = full();
+    }
+    out.initial_diagnoses = out.evaluated.diagnoses();
+    out.replays = hypothesis_replays() - base;
+    return out;
+}
+
+/// Field-wise equality of two Step 5B-5C results.
+inline void expect_same_evaluation(const diagnostic_candidates& a,
+                                   const diagnostic_candidates& b) {
+    ASSERT_EQ(a.evaluated.size(), b.evaluated.size());
+    for (std::size_t i = 0; i < a.evaluated.size(); ++i) {
+        const evaluated_candidate& x = a.evaluated[i];
+        const evaluated_candidate& y = b.evaluated[i];
+        EXPECT_EQ(x.id, y.id);
+        EXPECT_EQ(x.end_states, y.end_states);
+        EXPECT_EQ(x.outputs, y.outputs);
+        EXPECT_EQ(x.statout, y.statout);
+        EXPECT_EQ(x.destinations, y.destinations);
+        EXPECT_EQ(x.is_ust, y.is_ust);
+    }
+    EXPECT_EQ(a.dctr, b.dctr);
+    EXPECT_EQ(a.dcco, b.dcco);
+    EXPECT_EQ(a.ust, b.ust);
+}
+
+/// One fault through production diagnose() and through the reference
+/// Steps 4-5C with the replay cache on and off: identical conflict sets,
+/// candidate sets, Step 5B-5C result, initial diagnoses and replay count.
+/// Returns the production result.
+inline diagnosis_result expect_steps_match_reference(
+    const spec_context& ctx, const single_transition_fault& fault,
+    const diagnoser_options& options = {}) {
+    const system& spec = ctx.spec();
+    simulated_iut iut(spec, fault);
+    const std::size_t base = hypothesis_replays();
+    diagnosis_result result = diagnose(ctx, iut, options);
+    const std::size_t replays = hypothesis_replays() - base;
+    if (!result.symptoms.has_symptoms()) return result;
+
+    const replay_cache cache = ctx.make_replay_cache(result.symptoms);
+    for (const replay_cache* c : {&cache, static_cast<const replay_cache*>(
+                                              nullptr)}) {
+        SCOPED_TRACE(c ? "replay cache on" : "replay cache off");
+        const reference_steps ref = run_reference_steps(
+            spec, ctx.suite(), result.symptoms, options, c);
+        EXPECT_EQ(result.conflicts.per_machine, ref.conflicts.per_machine);
+        EXPECT_EQ(result.candidates.itc, ref.candidates.itc);
+        EXPECT_EQ(result.candidates.ftc_tr, ref.candidates.ftc_tr);
+        EXPECT_EQ(result.candidates.ftc_co, ref.candidates.ftc_co);
+        EXPECT_EQ(result.candidates.ust, ref.candidates.ust);
+        EXPECT_EQ(result.initial_diagnoses, ref.initial_diagnoses);
+        // Step 6's mid-loop escalation re-evaluates (and replays again).
+        if (!result.used_escalation ||
+            options.evaluation == evaluation_mode::complete) {
+            expect_same_evaluation(result.evaluated, ref.evaluated);
+            EXPECT_EQ(replays, ref.replays);
+        }
+    }
+    return result;
+}
+
+/// True when two live hypotheses predict different observations, by plain
+/// simulation (hypothesis_tracker::predict).
+inline bool predicted_split(const hypothesis_tracker& tracker,
+                            const std::vector<global_input>& inputs) {
+    for (std::size_t i = 1; i < tracker.count(); ++i) {
+        if (tracker.predict(i, inputs) != tracker.predict(0, inputs))
+            return true;
+    }
+    return false;
+}
+
+/// Replays a production diagnosis's Step 6 through the reference
+/// implementation: an engine-less tracker whose splits()/apply_result()
+/// verdicts are checked against plain predict() simulation, the structured
+/// proposals re-derived by propose_structured_tests, and every fallback
+/// test recomputed by the reference joint search splitting_sequence(spec,
+/// ...).  The reference path must not touch the discrimination engine.
+/// Runs whose flag-routed evaluation escalated mid-loop restart Step 6 and
+/// are not replayed.
+inline void expect_step6_matches_reference(
+    const system& spec, const diagnosis_result& result,
+    const diagnoser_options& options = {}) {
+    if (result.initial_diagnoses.empty()) return;
+    if (result.used_escalation &&
+        options.evaluation == evaluation_mode::paper_flag_routing)
+        return;
+    const discrim_counters before = discrim_totals();
+    const auto reference_split = [&](const hypothesis_tracker& t) {
+        std::vector<std::vector<transition_override>> hyps;
+        for (const diagnosis& d : t.alive()) hyps.push_back({d.to_override()});
+        const auto seq =
+            splitting_sequence(spec, hyps, options.max_joint_states);
+        EXPECT_EQ(t.find_splitting_sequence(options.max_joint_states), seq);
+        return seq;
+    };
+    const auto first_structured = [&](const hypothesis_tracker& t)
+        -> std::optional<proposed_test> {
+        if (!options.structured_step6) return std::nullopt;
+        for (const proposed_test& p :
+             propose_structured_tests(spec, t, options.step6)) {
+            if (t.splits(p.tc.inputs)) return p;
+        }
+        return std::nullopt;
+    };
+
+    hypothesis_tracker tracker(spec, result.initial_diagnoses);
+    for (const additional_test_record& rec : result.additional_tests) {
+        ASSERT_FALSE(rec.quarantined);
+        const std::vector<global_input>& inputs = rec.tc.inputs;
+        const auto structured = first_structured(tracker);
+        if (rec.from_fallback) {
+            EXPECT_FALSE(structured.has_value());
+            const auto seq = reference_split(tracker);
+            ASSERT_TRUE(seq.has_value());
+            EXPECT_EQ(test_case::from_inputs(rec.tc.name, *seq).inputs,
+                      inputs);
+        } else {
+            ASSERT_TRUE(structured.has_value());
+            EXPECT_EQ(structured->tc.inputs, inputs);
+            EXPECT_EQ(structured->purpose, rec.purpose);
+        }
+        EXPECT_TRUE(tracker.splits(inputs));
+        EXPECT_TRUE(predicted_split(tracker, inputs));
+        std::vector<diagnosis> survivors;
+        for (std::size_t i = 0; i < tracker.count(); ++i) {
+            if (tracker.predict(i, inputs) == rec.observed)
+                survivors.push_back(tracker.alive()[i]);
+        }
+        EXPECT_EQ(tracker.apply_result(inputs, rec.observed),
+                  rec.eliminated);
+        EXPECT_EQ(tracker.alive(), survivors);
+    }
+    EXPECT_EQ(tracker.alive(), result.final_diagnoses);
+    // The loop stopped because nothing splits the survivors any more.
+    if (tracker.count() > 1 &&
+        result.additional_tests.size() < options.max_additional_tests) {
+        EXPECT_FALSE(first_structured(tracker).has_value());
+        if (options.fallback_search) {
+            EXPECT_FALSE(reference_split(tracker).has_value());
+        }
+    }
+    // The verdict on the survivors agrees with the reference search.
+    if (tracker.count() == 1) {
+        EXPECT_EQ(result.outcome, diagnosis_outcome::localized);
+    } else if (tracker.count() > 1) {
+        EXPECT_EQ(result.outcome ==
+                      diagnosis_outcome::localized_up_to_equivalence,
+                  !reference_split(tracker).has_value());
+    }
+    const discrim_counters after = discrim_totals();
+    EXPECT_EQ(after.joint_states, before.joint_states);
+    EXPECT_EQ(after.memo_hits, before.memo_hits);
+    EXPECT_EQ(after.memo_misses, before.memo_misses);
+    EXPECT_EQ(after.table_answers, before.table_answers);
+    EXPECT_EQ(after.bfs_searches, before.bfs_searches);
 }
 
 }  // namespace cfsmdiag::testing_helpers

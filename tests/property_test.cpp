@@ -132,16 +132,21 @@ TEST(paper_exhaustive, table1_suite_diagnoses_its_detectable_faults) {
     EXPECT_EQ(stats.sound, stats.detected);
 }
 
-// --- compiled-core set algebra vs the std::set reference --------------------
+// --- compiled core vs the reference Steps 4-5C ------------------------------
 //
 // The flat core lowers Steps 4-5A onto bitsets over dense transition ids;
 // the reporting boundary rebuilds conflict_sets/candidate_sets.  Those
 // rebuilt structs must equal the reference implementations exactly — on the
 // Figure-1 system and across random systems, for detected faults (populated
 // sets) and undetected ones (the empty-report edge, where every set stays
-// empty).
+// empty).  Step 5B-5C's flat_replayer must reach hypothesis_consistent's
+// verdicts, with and without a replay_cache, at the same replay count.
 
-/// Runs one fault through both pipelines and compares Steps 4-5A.
+using testing_helpers::expect_same_evaluation;
+using testing_helpers::expect_steps_match_reference;
+using testing_helpers::run_reference_steps;
+
+/// Runs one fault through both pipelines and compares Steps 4-5C.
 void expect_compiled_sets_match(const system& spec, const spec_context& ctx,
                                 const single_transition_fault& fault) {
     simulated_iut iut(spec, fault);
@@ -165,6 +170,41 @@ void expect_compiled_sets_match(const system& spec, const spec_context& ctx,
     EXPECT_EQ(flat_cands.ftc_tr, ref_cands.ftc_tr);
     EXPECT_EQ(flat_cands.ftc_co, ref_cands.ftc_co);
     EXPECT_EQ(flat_cands.ust, ref_cands.ust);
+
+    // Steps 5B-5C, both routings, with and without the addressing
+    // extension.
+    const replay_cache cache = ctx.make_replay_cache(report);
+    flat_replayer replayer(ctx.compiled(), spec, report);
+    for (const auto mode : {evaluation_mode::complete,
+                            evaluation_mode::paper_flag_routing}) {
+        for (const bool addressing : {false, true}) {
+            SCOPED_TRACE(std::string(mode == evaluation_mode::complete
+                                         ? "complete"
+                                         : "flag routing") +
+                         (addressing ? ", addressing" : ""));
+            diagnoser_options options;
+            options.evaluation = mode;
+            options.include_addressing_faults = addressing;
+            options.escalate_if_empty = false;
+            std::size_t base = hypothesis_replays();
+            const diagnostic_candidates flat =
+                mode == evaluation_mode::complete
+                    ? evaluate_candidates_escalated(ctx.compiled(), replayer,
+                                                    report, flat_cands,
+                                                    addressing)
+                    : evaluate_candidates(ctx.compiled(), replayer, report,
+                                          flat_cands);
+            const std::size_t flat_replays = hypothesis_replays() - base;
+            for (const replay_cache* c :
+                 {&cache, static_cast<const replay_cache*>(nullptr)}) {
+                SCOPED_TRACE(c ? "replay cache on" : "replay cache off");
+                const auto ref = run_reference_steps(spec, ctx.suite(),
+                                                     report, options, c);
+                expect_same_evaluation(flat, ref.evaluated);
+                EXPECT_EQ(flat_replays, ref.replays);
+            }
+        }
+    }
 }
 
 TEST(compiled_core, set_algebra_matches_reference_on_figure1) {
@@ -202,37 +242,25 @@ TEST(compiled_core, set_algebra_matches_reference_on_random_systems) {
 }
 
 TEST(compiled_core, diagnose_identical_with_core_on_and_off) {
-    // Full-pipeline byte identity: the compiled Steps 4-6 hot path must
-    // produce the same diagnosis as the reference std::set/simulator path,
-    // with the replay cache both on and off.
+    // Production diagnose() (compiled core) against the reference Steps
+    // 4-5C called directly, with the replay cache both on and off.
     const auto ex = paperex::make_paper_example();
     const test_suite suite = transition_tour(ex.spec).suite;
-    for (const bool cache : {true, false}) {
-        diagnoser_options flat;
-        flat.use_replay_cache = cache;
-        diagnoser_options reference = flat;
-        reference.use_compiled_core = false;
-        std::size_t checked = 0;
-        const auto faults = enumerate_all_faults(ex.spec);
-        for (std::size_t i = 0; i < faults.size(); i += 3) {
-            SCOPED_TRACE(describe(ex.spec, faults[i]));
-            simulated_iut iut_a(ex.spec, faults[i]);
-            simulated_iut iut_b(ex.spec, faults[i]);
-            const auto a = diagnose(ex.spec, suite, iut_a, flat);
-            const auto b = diagnose(ex.spec, suite, iut_b, reference);
-            EXPECT_EQ(a.outcome, b.outcome);
-            EXPECT_EQ(a.initial_diagnoses, b.initial_diagnoses);
-            EXPECT_EQ(a.final_diagnoses, b.final_diagnoses);
-            EXPECT_EQ(a.used_escalation, b.used_escalation);
-            EXPECT_EQ(a.used_fallback_search, b.used_fallback_search);
-            EXPECT_EQ(a.additional_tests.size(), b.additional_tests.size());
-            ++checked;
-        }
-        EXPECT_GT(checked, 0u);
+    const spec_context ctx(ex.spec, suite);
+    ASSERT_TRUE(ctx.compiled().packable);
+    std::size_t checked = 0;
+    const auto faults = enumerate_all_faults(ex.spec);
+    for (std::size_t i = 0; i < faults.size(); i += 3) {
+        SCOPED_TRACE(describe(ex.spec, faults[i]));
+        const auto result = expect_steps_match_reference(ctx, faults[i]);
+        checked += result.symptoms.has_symptoms();
     }
+    EXPECT_GT(checked, 0u);
 }
 
 TEST(compiled_core, campaign_entries_identical_with_core_on_and_off) {
+    // Each campaign entry's Steps 1-5C fields equal what the reference
+    // pipeline computes for that fault, with the replay cache on and off.
     rng random(4242);
     random_system_options opts;
     opts.machines = 2;
@@ -243,23 +271,60 @@ TEST(compiled_core, campaign_entries_identical_with_core_on_and_off) {
     auto faults = enumerate_all_faults(sys);
     if (faults.size() > 60) faults.resize(60);
 
-    campaign_options flat;
-    campaign_options reference;
-    reference.diag.use_compiled_core = false;
-
-    campaign_engine flat_engine(sys, suite, faults, flat);
-    campaign_engine ref_engine(sys, suite, faults, reference);
-    const campaign_stats& a = flat_engine.run();
-    const campaign_stats& b = ref_engine.run();
-    ASSERT_EQ(a.entries.size(), b.entries.size());
-    for (std::size_t i = 0; i < a.entries.size(); ++i) {
-        SCOPED_TRACE("fault #" + std::to_string(i) + ": " +
-                     describe(sys, a.entries[i].fault));
-        EXPECT_EQ(a.entries[i], b.entries[i]);
+    const spec_context ctx(sys, suite);
+    campaign_engine engine(ctx, faults, {});
+    const campaign_stats& stats = engine.run();
+    ASSERT_EQ(stats.entries.size(), faults.size());
+    std::size_t reference_replays = 0;
+    for (const campaign_entry& entry : stats.entries) {
+        SCOPED_TRACE(describe(sys, entry.fault));
+        simulated_iut iut(sys, entry.fault);
+        const symptom_report report = collect_symptoms(sys, suite, iut);
+        ASSERT_EQ(entry.detected, report.has_symptoms());
+        if (!entry.detected) {
+            EXPECT_EQ(entry.replays, 0u);
+            continue;
+        }
+        const replay_cache cache = ctx.make_replay_cache(report);
+        for (const replay_cache* c :
+             {&cache, static_cast<const replay_cache*>(nullptr)}) {
+            const auto ref = run_reference_steps(sys, suite, report, {}, c);
+            EXPECT_EQ(entry.initial_diagnoses, ref.initial_diagnoses.size());
+            EXPECT_EQ(entry.replays, ref.replays);
+            if (c == nullptr) reference_replays += ref.replays;
+        }
     }
     // Same hypothesis work, radically less simulation overhead is the whole
     // point — but identity is the contract.
-    EXPECT_EQ(flat_engine.metrics().replays, ref_engine.metrics().replays);
+    EXPECT_EQ(engine.metrics().replays, reference_replays);
+}
+
+TEST(reference_fallback, token_ring_65_diagnoses_soundly) {
+    // 65 stations pack into more than 64 bits: no compiled core, no flat
+    // joint search.  diagnose() must then run the reference Steps 4-5C over
+    // the replay cache and the engine's reference search, soundly.
+    const system sys = models::token_ring(65);
+    const spec_context ctx(sys, transition_tour(sys).suite);
+    ASSERT_FALSE(ctx.compiled().packable);
+    ASSERT_FALSE(ctx.discrim().flat_search_available());
+
+    const auto all = enumerate_all_faults(sys);
+    std::vector<single_transition_fault> sample;
+    for (std::size_t i = 0; i < all.size() && sample.size() < 40;
+         i += std::max<std::size_t>(1, all.size() / 40))
+        sample.push_back(all[i]);
+    campaign_engine engine(ctx, sample, {});
+    const campaign_stats& stats = engine.run();
+    ASSERT_EQ(stats.total, sample.size());
+    EXPECT_GT(stats.detected, 0u);
+    for (const campaign_entry& entry : stats.entries) {
+        SCOPED_TRACE(describe(sys, entry.fault));
+        EXPECT_FALSE(entry.errored) << entry.error_message;
+        if (entry.detected) {
+            EXPECT_TRUE(entry.sound);
+        }
+    }
+    EXPECT_EQ(stats.sound, stats.detected);
 }
 
 TEST(random_system_test, generator_produces_valid_connected_systems) {

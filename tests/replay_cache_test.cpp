@@ -1,15 +1,20 @@
 // The replay cache (diag/replay_cache.hpp): firing index and snapshot
 // correctness, verdict equivalence with the legacy full replay, and — the
-// load-bearing contract — byte-identical diagnose()/run_campaign() results
-// with the cache on or off, on the paper example and across random systems.
+// load-bearing contract — production diagnose()/run_campaign() results
+// identical to the reference pipeline run with the cache on and off, on the
+// paper example and across random systems.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "cfsmdiag.hpp"
+#include "helpers.hpp"
 
 namespace cfsmdiag {
 namespace {
+
+using testing_helpers::expect_step6_matches_reference;
+using testing_helpers::expect_steps_match_reference;
+using testing_helpers::run_reference_steps;
 
 struct paper_fixture {
     paperex::paper_example ex;
@@ -146,65 +151,36 @@ TEST(sequence_replay, predict_and_matches_equal_plain_observe) {
     }
 }
 
-/// Field-wise equality of two diagnosis results (additional-test records
-/// compared by inputs/outputs/elimination, not wall-clock).
-void expect_same_result(const diagnosis_result& a,
-                        const diagnosis_result& b) {
-    EXPECT_EQ(a.outcome, b.outcome);
-    EXPECT_EQ(a.initial_diagnoses, b.initial_diagnoses);
-    EXPECT_EQ(a.final_diagnoses, b.final_diagnoses);
-    EXPECT_EQ(a.used_escalation, b.used_escalation);
-    EXPECT_EQ(a.used_fallback_search, b.used_fallback_search);
-    ASSERT_EQ(a.additional_tests.size(), b.additional_tests.size());
-    for (std::size_t i = 0; i < a.additional_tests.size(); ++i) {
-        const auto& ra = a.additional_tests[i];
-        const auto& rb = b.additional_tests[i];
-        EXPECT_EQ(ra.tc.inputs, rb.tc.inputs);
-        EXPECT_EQ(ra.purpose, rb.purpose);
-        EXPECT_EQ(ra.expected, rb.expected);
-        EXPECT_EQ(ra.observed, rb.observed);
-        EXPECT_EQ(ra.eliminated, rb.eliminated);
-        EXPECT_EQ(ra.from_fallback, rb.from_fallback);
-    }
-}
+// Production diagnose() against the reference pipeline: Steps 4-5C with
+// the replay cache on and off (conflict/candidate sets, Step 5B-5C result,
+// replay counts) and Step 6 replayed through an engine-less tracker whose
+// sequence_replay verdicts are checked against plain simulation.
 
 TEST(replay_cache, diagnose_identical_with_cache_on_and_off_paper) {
     const auto ex = paperex::make_paper_example();
-    diagnoser_options with_cache;
-    diagnoser_options without_cache;
-    without_cache.use_replay_cache = false;
-
+    const spec_context ctx(ex.spec, ex.suite);
     for (const auto& fault : enumerate_all_faults(ex.spec)) {
         SCOPED_TRACE(describe(ex.spec, fault));
-        simulated_iut iut_a(ex.spec, fault);
-        simulated_iut iut_b(ex.spec, fault);
-        expect_same_result(diagnose(ex.spec, ex.suite, iut_a, with_cache),
-                           diagnose(ex.spec, ex.suite, iut_b,
-                                    without_cache));
+        const auto result = expect_steps_match_reference(ctx, fault);
+        expect_step6_matches_reference(ex.spec, result);
     }
 }
 
 TEST(replay_cache, diagnose_identical_both_evaluation_modes) {
     const auto ex = paperex::make_paper_example();
+    const spec_context ctx(ex.spec, ex.suite);
     for (const auto mode : {evaluation_mode::paper_flag_routing,
                             evaluation_mode::complete}) {
-        diagnoser_options with_cache;
-        with_cache.evaluation = mode;
-        diagnoser_options without_cache = with_cache;
-        without_cache.use_replay_cache = false;
-        simulated_iut iut_a(ex.spec, ex.fault);
-        simulated_iut iut_b(ex.spec, ex.fault);
-        expect_same_result(diagnose(ex.spec, ex.suite, iut_a, with_cache),
-                           diagnose(ex.spec, ex.suite, iut_b,
-                                    without_cache));
+        diagnoser_options options;
+        options.evaluation = mode;
+        const auto result = expect_steps_match_reference(ctx, ex.fault,
+                                                         options);
+        ASSERT_FALSE(result.initial_diagnoses.empty());
+        expect_step6_matches_reference(ex.spec, result, options);
     }
 }
 
 TEST(replay_cache, randomized_diagnose_equivalence_20_systems) {
-    diagnoser_options with_cache;
-    diagnoser_options without_cache;
-    without_cache.use_replay_cache = false;
-
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         rng random(seed);
         random_system_options opts;
@@ -216,6 +192,7 @@ TEST(replay_cache, randomized_diagnose_equivalence_20_systems) {
         rng walk(seed + 1000);
         suite.extend(random_walk_suite(
             sys, walk, {.cases = 2, .steps_per_case = 8}));
+        const spec_context ctx(sys, suite);
 
         auto faults = enumerate_all_faults(sys);
         // Every 5th fault keeps the test fast while covering output,
@@ -223,10 +200,8 @@ TEST(replay_cache, randomized_diagnose_equivalence_20_systems) {
         for (std::size_t i = 0; i < faults.size(); i += 5) {
             SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
                          describe(sys, faults[i]));
-            simulated_iut iut_a(sys, faults[i]);
-            simulated_iut iut_b(sys, faults[i]);
-            expect_same_result(diagnose(sys, suite, iut_a, with_cache),
-                               diagnose(sys, suite, iut_b, without_cache));
+            const auto result = expect_steps_match_reference(ctx, faults[i]);
+            expect_step6_matches_reference(sys, result);
         }
     }
 }
@@ -242,34 +217,39 @@ TEST(replay_cache, campaign_entries_identical_with_cache_on_and_off) {
     auto faults = enumerate_all_faults(sys);
     if (faults.size() > 40) faults.resize(40);
 
-    campaign_options on;
-    campaign_options off;
-    off.diag.use_replay_cache = false;
+    const spec_context ctx(sys, suite);
+    campaign_engine engine(ctx, faults, {});
+    const campaign_stats& a = engine.run();
+    ASSERT_EQ(a.entries.size(), faults.size());
 
-    campaign_engine engine_on(sys, suite, faults, on);
-    campaign_engine engine_off(sys, suite, faults, off);
-    const campaign_stats& a = engine_on.run();
-    const campaign_stats& b = engine_off.run();
-
-    ASSERT_EQ(a.entries.size(), b.entries.size());
-    for (std::size_t i = 0; i < a.entries.size(); ++i) {
-        SCOPED_TRACE("fault #" + std::to_string(i) + ": " +
-                     describe(sys, a.entries[i].fault));
-        EXPECT_EQ(a.entries[i], b.entries[i]);
+    // Each entry's replay count and initial diagnoses equal the reference
+    // Step 5B's with the cache on and off; the cache saves simulation.
+    std::size_t cached_steps = 0;
+    std::size_t uncached_steps = 0;
+    for (const campaign_entry& entry : a.entries) {
+        SCOPED_TRACE(describe(sys, entry.fault));
+        if (!entry.detected) continue;
+        simulated_iut iut(sys, entry.fault);
+        const symptom_report report = collect_symptoms(sys, suite, iut);
+        const replay_cache cache = ctx.make_replay_cache(report);
+        std::size_t steps = simulated_steps();
+        const auto on = run_reference_steps(sys, suite, report, {}, &cache);
+        cached_steps += simulated_steps() - steps;
+        steps = simulated_steps();
+        const auto off = run_reference_steps(sys, suite, report, {}, nullptr);
+        uncached_steps += simulated_steps() - steps;
+        EXPECT_EQ(entry.replays, on.replays);
+        EXPECT_EQ(entry.replays, off.replays);
+        EXPECT_EQ(entry.initial_diagnoses, on.initial_diagnoses.size());
+        EXPECT_EQ(entry.initial_diagnoses, off.initial_diagnoses.size());
     }
-    EXPECT_EQ(engine_on.metrics().replays, engine_off.metrics().replays);
-    EXPECT_TRUE(engine_on.metrics().replay_cache_enabled);
-    EXPECT_FALSE(engine_off.metrics().replay_cache_enabled);
     // The cache must actually engage (and save simulation work) on any
     // campaign with detected faults.
     if (a.detected > 0) {
-        EXPECT_GT(engine_on.metrics().cache_case_skips +
-                      engine_on.metrics().cache_suffix_replays,
+        EXPECT_GT(engine.metrics().cache_case_skips +
+                      engine.metrics().cache_suffix_replays,
                   0u);
-        EXPECT_LT(engine_on.metrics().simulated_steps,
-                  engine_off.metrics().simulated_steps);
-        EXPECT_EQ(engine_off.metrics().cache_case_skips, 0u);
-        EXPECT_EQ(engine_off.metrics().cache_suffix_replays, 0u);
+        EXPECT_LT(cached_steps, uncached_steps);
     }
 }
 
@@ -285,30 +265,31 @@ TEST(replay_cache, multi_fault_diagnosis_identical_with_cache_on_and_off) {
     ASSERT_NE(second, all.end());
     const fault_set fs{{ex.fault, *second}};
 
-    multi_fault_options with_cache;
-    with_cache.max_hypotheses = 3000;
-    with_cache.max_additional_tests = 10;
-    multi_fault_options without_cache = with_cache;
-    without_cache.use_replay_cache = false;
+    multi_fault_options options;
+    options.max_hypotheses = 3000;
+    options.max_additional_tests = 10;
+    simulated_multi_iut iut(ex.spec, fs);
+    const auto a = diagnose_multi(ex.spec, ex.suite, iut, options);
+    ASSERT_GT(a.initial_hypotheses, 0u);
 
-    simulated_multi_iut iut_a(ex.spec, fs);
-    simulated_multi_iut iut_b(ex.spec, fs);
-    const auto a = diagnose_multi(ex.spec, ex.suite, iut_a, with_cache);
-    const auto b = diagnose_multi(ex.spec, ex.suite, iut_b, without_cache);
-
-    EXPECT_EQ(a.outcome, b.outcome);
-    EXPECT_EQ(a.initial_hypotheses, b.initial_hypotheses);
-    EXPECT_EQ(a.final_hypotheses, b.final_hypotheses);
-    EXPECT_EQ(a.truncated_hypotheses, b.truncated_hypotheses);
-    ASSERT_EQ(a.additional_tests.size(), b.additional_tests.size());
-    for (std::size_t i = 0; i < a.additional_tests.size(); ++i) {
-        EXPECT_EQ(a.additional_tests[i].tc.inputs,
-                  b.additional_tests[i].tc.inputs);
-        EXPECT_EQ(a.additional_tests[i].observed,
-                  b.additional_tests[i].observed);
-        EXPECT_EQ(a.additional_tests[i].eliminated,
-                  b.additional_tests[i].eliminated);
+    // The cached consistency filter against plain from-reset replays: every
+    // survivor reproduces the suite observations and every applied test.
+    simulated_multi_iut truth(ex.spec, fs);
+    const symptom_report report = collect_symptoms(ex.spec, ex.suite, truth);
+    for (const fault_set& h : a.final_hypotheses) {
+        SCOPED_TRACE(describe(ex.spec, h));
+        const auto ovs = h.to_overrides();
+        for (std::size_t ci = 0; ci < ex.suite.cases.size(); ++ci) {
+            EXPECT_EQ(observe_multi(ex.spec, ex.suite.cases[ci].inputs, ovs),
+                      report.runs[ci].observed);
+        }
+        for (const auto& rec : a.additional_tests)
+            EXPECT_EQ(observe_multi(ex.spec, rec.tc.inputs, ovs),
+                      rec.observed);
     }
+    // Every test came from a splitting sequence, so it refuted at least one
+    // of the two hypotheses it separates.
+    for (const auto& rec : a.additional_tests) EXPECT_GT(rec.eliminated, 0u);
 }
 
 TEST(replay_cache, step_counter_is_monotone_and_counted_per_apply) {

@@ -29,13 +29,20 @@ run_config() {
 
 run_config release -DCMAKE_BUILD_TYPE=Release
 
-# Bench smoke run: the engine closing blocks assert that cache-on/off,
-# compiled/reference and flat-discrimination/reference-search campaigns all
-# stay byte-identical, and print the simulated-step and discrimination-wall
-# reductions on a small workload (--quick caps the fault count).
+# Bench smoke run: the Figure-1 fault-class campaigns plus the unreliable-
+# lab closing block, which asserts that flaky verdicts never contradict
+# clean ones, that flaky entries stay byte-identical across thread counts,
+# and that an injected crash is isolated (--quick caps the fault count).
+# Production-vs-reference identity is asserted by the ctest suites above.
 echo "=== [release] bench smoke ==="
 cmake --build build-ci-release -j "${JOBS}" --target bench_fault_campaign
 (cd build-ci-release && bench/fault_campaign --quick)
+
+# Repository benchmark self-test: builds perfbench/driver.cpp in Release and
+# checks every workload's entry digest and deterministic counters against
+# perfbench/workloads.json (the gate a benchmark run applies).
+echo "=== [release] perfbench self-test ==="
+python3 perfbench/run.py --self-test
 
 # Sweep smoke: checkpoint a campaign, SIGKILL it mid-run via the
 # --abort-after test seam, resume, and diff the merged spill against a
