@@ -73,10 +73,9 @@ flat_override lower_override(const compiled_spec& cs,
 std::uint64_t flat_step(const compiled_spec& cs, const system& spec,
                         std::uint64_t& state, std::uint32_t port,
                         std::uint32_t sym, const flat_override* ovs,
-                        std::size_t ov_count, bool* fired, bool* target_hit) {
+                        std::size_t ov_count, bool* fired) {
     ++detail::simulated_step_count;
     if (fired) *fired = false;
-    if (target_hit) *target_hit = false;
     if (port == invalid_index) {  // reset
         state = cs.initial_packed;
         return 0;
@@ -99,7 +98,6 @@ std::uint64_t flat_step(const compiled_spec& cs, const system& spec,
                 break;
             }
         }
-        if (hit && target_hit) *target_hit = true;
         const std::uint32_t next = hit && hit->next != invalid_index
                                        ? hit->next
                                        : cs.next_state[d];

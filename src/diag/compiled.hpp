@@ -146,16 +146,14 @@ struct flat_override {
 /// One global input applied to a packed state under `ov_count` overrides
 /// (distinct targets).  Returns the packed observation; when `fired` is
 /// non-null it is set to whether the chain fired at least one transition
-/// (the reference search's `progressed` bit), and when `target_hit` is
-/// non-null, to whether any overridden target fired (the discrimination
-/// engine's liveness seed).  Mutates `state` in place.  Error behaviour —
+/// (the reference search's `progressed` bit, read by the discrimination
+/// engine's joint BFS).  Mutates `state` in place.  Error behaviour —
 /// internal ε message, hop budget — matches simulator::apply exactly,
 /// message text included; `spec` is used for error labels only.
 std::uint64_t flat_step(const compiled_spec& cs, const system& spec,
                         std::uint64_t& state, std::uint32_t port,
                         std::uint32_t sym, const flat_override* ovs,
-                        std::size_t ov_count, bool* fired = nullptr,
-                        bool* target_hit = nullptr);
+                        std::size_t ov_count, bool* fired = nullptr);
 
 /// Step 4 as bitmaps: one fired-prefix bitmap per symptomatic case (steps
 /// [0, first_symptom]) over the dense universe, plus their intersection

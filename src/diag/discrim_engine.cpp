@@ -23,9 +23,10 @@ constexpr std::size_t hop_budget = 1024;
 /// reused); larger spaces fall back to a hashed visited set.
 constexpr std::uint64_t dense_visited_cap = std::uint64_t{1} << 22;
 
-/// Layer-2 limits: product state space and pair-graph edge count a pairwise
-/// table may cost, and the largest hypothesis-set size worth the O(k²)
-/// pair gathering.
+/// Layer-2 limits: the product state space S, an S² · inputs bound, and the
+/// largest hypothesis set a query partitions.  Together they decide which
+/// queries the tables serve, and so the table_answers and bfs_searches
+/// counts that perfbench/workloads.json records.
 constexpr std::uint32_t pair_state_cap = 128;
 constexpr std::uint64_t pair_edge_cap = std::uint64_t{1} << 21;
 constexpr std::size_t pair_k_cap = 16;
@@ -144,6 +145,48 @@ std::vector<std::uint32_t> encode_hypothesis(
     return enc;
 }
 
+/// Dense ids, in first-seen order, for fixed-width rows of u32 words: a
+/// flat open-addressing table of row ids over one contiguous row store, so
+/// interning a row allocates nothing per row.
+class row_interner {
+  public:
+    /// Empties the table for rows of `width` words, sized for `max_rows`.
+    void reset(std::size_t width, std::size_t max_rows) {
+        width_ = width;
+        rows_.clear();
+        std::size_t slots = 16;
+        while (slots < 2 * max_rows) slots *= 2;
+        slots_.assign(slots, invalid_index);
+    }
+
+    std::uint32_t intern(const std::uint32_t* row) {
+        std::size_t h = 0x811c9dc5u;
+        for (std::size_t w = 0; w < width_; ++w)
+            h = (h ^ row[w]) * 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t at = (h ^ (h >> 29)) & mask;; at = (at + 1) & mask) {
+            const std::uint32_t id = slots_[at];
+            if (id == invalid_index) {
+                const auto fresh = static_cast<std::uint32_t>(size());
+                rows_.insert(rows_.end(), row, row + width_);
+                slots_[at] = fresh;
+                return fresh;
+            }
+            if (std::equal(row, row + width_, rows_.begin() + id * width_))
+                return id;
+        }
+    }
+
+    [[nodiscard]] std::size_t size() const noexcept {
+        return rows_.size() / width_;
+    }
+
+  private:
+    std::size_t width_ = 1;
+    std::vector<std::uint32_t> rows_;   ///< row id → its words
+    std::vector<std::uint32_t> slots_;  ///< row id or invalid_index
+};
+
 /// Dense visited scratch, one per thread, shared by every engine: begin()
 /// is O(1), so each search pays one store per joint state and nothing to
 /// reset.
@@ -219,48 +262,17 @@ bool discrim_engine::ensure_universe() const {
             uni_.packed[u] = packed;
         }
 
-        // Spec dynamics (chain-safe: cannot throw).
-        const std::size_t cols = in_port_.size();
-        std::vector<std::uint32_t> succ(uni_.size * cols);
-        std::vector<std::uint64_t> obs(uni_.size * cols);
+        // One specification step per (state, input).  Nothing reads the
+        // result: the union partition needs only hypothesis tables.  It stays
+        // because its steps count toward the campaign's simulated_steps,
+        // which perfbench/workloads.json records exactly (ROADMAP: drop it
+        // with the next change to the recorded counters).
         for (std::uint32_t u = 0; u < uni_.size; ++u) {
-            for (std::size_t in = 0; in < cols; ++in) {
+            for (std::size_t in = 0; in < in_port_.size(); ++in) {
                 std::uint64_t st = uni_.packed[u];
-                obs[u * cols + in] = flat_step(*cs_, *spec_, st,
-                                               in_port_[in], in_sym_[in],
-                                               nullptr, 0);
-                succ[u * cols + in] = product_index(st);
+                (void)flat_step(*cs_, *spec_, st, in_port_[in], in_sym_[in],
+                                nullptr, 0);
             }
-        }
-
-        // Moore refinement into observational-equivalence classes: states
-        // are merged iff every input yields the same observation and
-        // equivalent successors.  Deterministic class ids (first-seen
-        // order) — they only ever feed equality checks.
-        uni_.cls.assign(uni_.size, 0);
-        std::vector<std::uint32_t> next_cls(uni_.size);
-        std::size_t classes = 1;
-        for (;;) {
-            std::unordered_map<key_type, std::uint32_t, key_hash> sig_ids;
-            key_type sig;
-            for (std::uint32_t u = 0; u < uni_.size; ++u) {
-                sig.clear();
-                sig.push_back(uni_.cls[u]);
-                for (std::size_t in = 0; in < cols; ++in) {
-                    const std::uint64_t o = obs[u * cols + in];
-                    sig.push_back(static_cast<std::uint32_t>(o >> 32));
-                    sig.push_back(static_cast<std::uint32_t>(o));
-                    sig.push_back(uni_.cls[succ[u * cols + in]]);
-                }
-                const auto [it, inserted] = sig_ids.emplace(
-                    sig, static_cast<std::uint32_t>(sig_ids.size()));
-                next_cls[u] = it->second;
-                (void)inserted;
-            }
-            const std::size_t refined = sig_ids.size();
-            uni_.cls.swap(next_cls);
-            if (refined == classes) break;
-            classes = refined;
         }
         uni_.ok = true;
     });
@@ -277,162 +289,96 @@ discrim_engine::hyp_dynamics_locked(const flat_hyp& h) const {
     auto t = std::make_shared<hyp_tables>();
     t->succ.resize(static_cast<std::size_t>(S) * cols);
     t->obs.resize(static_cast<std::size_t>(S) * cols);
-    t->fired = dyn_bitset(static_cast<std::size_t>(S) * cols);
     t->throws = dyn_bitset(static_cast<std::size_t>(S) * cols);
-    t->live = dyn_bitset(S);
-
-    // Seeds of the liveness closure: states that directly fire an
-    // overridden target (or whose step throws — a throwing state must
-    // never be classified as spec-equivalent).
     for (std::uint32_t u = 0; u < S; ++u) {
         for (std::size_t in = 0; in < cols; ++in) {
             const std::size_t cell = static_cast<std::size_t>(u) * cols + in;
             std::uint64_t st = uni_.packed[u];
-            bool fired = false;
-            bool hit = false;
             try {
-                t->obs[cell] =
-                    flat_step(*cs_, *spec_, st, in_port_[in], in_sym_[in],
-                              h.ovs.data(), h.ovs.size(), &fired, &hit);
+                t->obs[cell] = flat_step(*cs_, *spec_, st, in_port_[in],
+                                         in_sym_[in], h.ovs.data(),
+                                         h.ovs.size());
             } catch (const error&) {
                 t->throws.set(cell);
-                t->live.set(u);
-                t->succ[cell] = u;  // unused: throw cells are dead ends
+                t->succ[cell] = u;  // unused: a throw cell is a unique output
                 continue;
             }
-            if (fired) t->fired.set(cell);
-            if (hit) t->live.set(u);
             t->succ[cell] = product_index(st);
         }
     }
-
-    // Backward closure of liveness over the mutant step graph (throw cells
-    // excluded — they are seeds, not edges).
-    std::vector<std::uint32_t> work = t->live.to_indices();
-    std::vector<std::uint32_t> rev_off(S + 1, 0);
-    std::vector<std::uint32_t> rev(static_cast<std::size_t>(S) * cols);
-    for (std::uint32_t u = 0; u < S; ++u) {
-        for (std::size_t in = 0; in < cols; ++in) {
-            const std::size_t cell = static_cast<std::size_t>(u) * cols + in;
-            if (!t->throws.test(cell)) ++rev_off[t->succ[cell] + 1];
-        }
-    }
-    for (std::uint32_t v = 0; v < S; ++v) rev_off[v + 1] += rev_off[v];
-    {
-        std::vector<std::uint32_t> cursor(rev_off.begin(),
-                                          rev_off.end() - 1);
-        for (std::uint32_t u = 0; u < S; ++u) {
-            for (std::size_t in = 0; in < cols; ++in) {
-                const std::size_t cell =
-                    static_cast<std::size_t>(u) * cols + in;
-                if (!t->throws.test(cell)) rev[cursor[t->succ[cell]]++] = u;
-            }
-        }
-    }
-    while (!work.empty()) {
-        const std::uint32_t v = work.back();
-        work.pop_back();
-        for (std::uint32_t e = rev_off[v]; e < rev_off[v + 1]; ++e) {
-            const std::uint32_t u = rev[e];
-            if (!t->live.test(u)) {
-                t->live.set(u);
-                work.push_back(u);
-            }
-        }
-    }
-
     return hyp_cache_.emplace(h.enc, std::move(t)).first->second;
 }
 
-std::shared_ptr<const dyn_bitset> discrim_engine::pair_map(
-    const flat_hyp& a, const flat_hyp& b) const {
-    // Canonical unordered key: the lexicographically smaller encoding
-    // first.  A swapped query reads bit (v, u) instead of (u, v).
-    const bool swapped = b.enc < a.enc;
-    const flat_hyp& first = swapped ? b : a;
-    const flat_hyp& second = swapped ? a : b;
-    key_type key = first.enc;
-    key.insert(key.end(), second.enc.begin(), second.enc.end());
-    const auto it = pair_cache_.find(key);
-    if (it != pair_cache_.end()) return it->second;
+std::vector<std::uint32_t> discrim_engine::union_classes(
+    const std::vector<flat_hyp>& hyps) const {
+    // Lookup/insert under the lock (each table is built exactly once, at
+    // any --jobs); the refinement below reads the immutable tables only.
+    std::vector<std::shared_ptr<const hyp_tables>> tables;
+    tables.reserve(hyps.size());
+    {
+        const std::lock_guard<std::mutex> lock(tables_mutex_);
+        for (const flat_hyp& h : hyps)
+            tables.push_back(hyp_dynamics_locked(h));
+    }
 
-    const auto ta = hyp_dynamics_locked(first);
-    const auto tb = hyp_dynamics_locked(second);
     const std::uint32_t S = uni_.size;
     const std::size_t cols = in_port_.size();
-    const std::size_t pairs = static_cast<std::size_t>(S) * S;
+    const std::size_t nodes = hyps.size() * S;
+    thread_local row_interner interner;
 
-    auto map = std::make_shared<dyn_bitset>(pairs);
-    std::vector<std::uint32_t> work;
-
-    // Forward edges of the live pair region (either side can still fire
-    // its target); dead-dead pairs are final — the mutants behave exactly
-    // like the spec from there, so disagreement reachability is Moore
-    // class inequality.
-    std::vector<std::uint32_t> edge_src;
-    std::vector<std::uint32_t> edge_dst;
-    for (std::uint32_t u = 0; u < S; ++u) {
-        const bool live_a = ta->live.test(u);
-        for (std::uint32_t v = 0; v < S; ++v) {
-            const std::uint32_t p = u * S + v;
-            if (!live_a && !tb->live.test(v)) {
-                if (uni_.cls[u] != uni_.cls[v]) {
-                    map->set(p);
-                    work.push_back(p);
-                }
-                continue;
-            }
-            bool seed = false;
-            for (std::size_t in = 0; in < cols; ++in) {
-                const std::size_t ca =
-                    static_cast<std::size_t>(u) * cols + in;
-                const std::size_t cb =
-                    static_cast<std::size_t>(v) * cols + in;
-                if (ta->throws.test(ca) || tb->throws.test(cb) ||
-                    ta->obs[ca] != tb->obs[cb]) {
-                    seed = true;
-                    continue;
-                }
-                edge_src.push_back(p);
-                edge_dst.push_back(ta->succ[ca] * S + tb->succ[cb]);
-            }
-            if (seed && !map->test(p)) {
-                map->set(p);
-                work.push_back(p);
-            }
+    // Node successors, and observations interned to dense ids.  A throw
+    // cell gets an id of its own, after every real observation's, so its
+    // node differs from every other node.
+    std::vector<std::uint32_t> next(nodes * cols);
+    std::vector<std::uint32_t> obs(nodes * cols);
+    interner.reset(2, nodes * cols);
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+        const hyp_tables& t = *tables[i];
+        for (std::size_t cell = 0; cell < S * cols; ++cell) {
+            const std::size_t at = i * S * cols + cell;
+            next[at] = static_cast<std::uint32_t>(i * S + t.succ[cell]);
+            if (t.throws.test(cell)) continue;
+            const std::uint32_t words[2] = {
+                static_cast<std::uint32_t>(t.obs[cell] >> 32),
+                static_cast<std::uint32_t>(t.obs[cell])};
+            obs[at] = interner.intern(words);
         }
     }
-
-    // Reverse CSR + backward reachability from every seed.
-    std::vector<std::uint32_t> rev_off(pairs + 1, 0);
-    for (std::uint32_t d : edge_dst) ++rev_off[d + 1];
-    for (std::size_t p = 0; p < pairs; ++p) rev_off[p + 1] += rev_off[p];
-    std::vector<std::uint32_t> rev(edge_dst.size());
-    {
-        std::vector<std::uint32_t> cursor(rev_off.begin(),
-                                          rev_off.end() - 1);
-        for (std::size_t e = 0; e < edge_dst.size(); ++e)
-            rev[cursor[edge_dst[e]]++] = edge_src[e];
+    auto unique_output = static_cast<std::uint32_t>(interner.size());
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+        for (const std::uint32_t cell : tables[i]->throws.to_indices())
+            obs[i * S * cols + cell] = unique_output++;
     }
-    while (!work.empty()) {
-        const std::uint32_t p = work.back();
-        work.pop_back();
-        for (std::uint32_t e = rev_off[p]; e < rev_off[p + 1]; ++e) {
-            const std::uint32_t q = rev[e];
-            if (!map->test(q)) {
-                map->set(q);
-                work.push_back(q);
-            }
+
+    // Moore refinement from the observation rows: each round splits nodes
+    // by (class, class of the successor per input) until the class count
+    // stops growing.  Ids are first-seen order and only feed equality
+    // checks.
+    std::vector<std::uint32_t> cls(nodes);
+    interner.reset(cols, nodes);
+    for (std::size_t n = 0; n < nodes; ++n)
+        cls[n] = interner.intern(&obs[n * cols]);
+    std::size_t classes = interner.size();
+    std::vector<std::uint32_t> row(cols + 1);
+    std::vector<std::uint32_t> refined(nodes);
+    for (;;) {
+        interner.reset(cols + 1, nodes);
+        for (std::size_t n = 0; n < nodes; ++n) {
+            row[0] = cls[n];
+            for (std::size_t in = 0; in < cols; ++in)
+                row[in + 1] = cls[next[n * cols + in]];
+            refined[n] = interner.intern(row.data());
         }
+        cls.swap(refined);
+        if (interner.size() == classes) break;
+        classes = interner.size();
     }
-
-    return pair_cache_.emplace(std::move(key), std::move(map))
-        .first->second;
+    return cls;
 }
 
 std::optional<std::vector<global_input>> discrim_engine::flat_search(
     const std::vector<flat_hyp>& hyps, std::size_t max_joint_states,
-    const std::vector<const dyn_bitset*>& pair_maps) const {
+    const std::vector<std::uint32_t>& cls) const {
     const std::size_t k = hyps.size();
     const std::size_t cols = in_port_.size();
     const std::uint32_t S = uni_.size;  // 0 = dense indexing unavailable
@@ -450,8 +396,7 @@ std::optional<std::vector<global_input>> discrim_engine::flat_search(
     // Pruning is exact only when the reference search provably never hits
     // its visited cap (every joint state it could ever insert fits).
     const bool prune =
-        !pair_maps.empty() && joint_bound != 0 &&
-        joint_bound <= max_joint_states;
+        !cls.empty() && joint_bound != 0 && joint_bound <= max_joint_states;
 
     // Flat node storage: k packed states per node + parent/via chains.
     std::vector<std::uint64_t> states;
@@ -539,21 +484,15 @@ std::optional<std::vector<global_input>> discrim_engine::flat_search(
             if (!progressed) continue;  // ε step in every hypothesis
             if (visited_count >= max_joint_states) continue;
             if (prune) {
-                // Barren joint state: no hypothesis pair can ever disagree
-                // (or throw) from here — its whole subtree is silent, and
-                // with the cap provably unreachable, skipping it cannot
-                // change the first disagreement found.
+                // Barren joint state: all k nodes share one Moore class, so
+                // no hypothesis pair can ever disagree (or throw) from here
+                // — its whole subtree is silent, and with the cap provably
+                // unreachable, skipping it cannot change the first
+                // disagreement found.
+                const std::uint32_t first = cls[product_index(next[0])];
                 bool barren = true;
-                std::size_t pi = 0;
-                for (std::size_t i = 0; i + 1 < k && barren; ++i) {
-                    const std::uint32_t ui = product_index(next[i]);
-                    for (std::size_t j = i + 1; j < k && barren; ++j) {
-                        const std::uint32_t uj = product_index(next[j]);
-                        if (pair_maps[pi++]->test(
-                                static_cast<std::size_t>(ui) * S + uj))
-                            barren = false;
-                    }
-                }
+                for (std::size_t i = 1; i < k && barren; ++i)
+                    barren = cls[i * S + product_index(next[i])] == first;
                 if (barren) continue;
             }
             bool inserted = false;
@@ -592,39 +531,25 @@ std::optional<std::vector<global_input>> discrim_engine::compute(
         return cfsmdiag::splitting_sequence(*spec_, hypotheses,
                                             max_joint_states);
 
-    const std::size_t k = hyps.size();
     const bool have_tables = ensure_universe();  // also fills the strides
                                                  // the dense visited needs
-    std::vector<const dyn_bitset*> pair_maps;
-    std::vector<std::shared_ptr<const dyn_bitset>> pair_keep;
-    if (k <= pair_k_cap && have_tables) {
-        const std::lock_guard<std::mutex> lock(tables_mutex_);
-        pair_keep.reserve(k * (k - 1) / 2);
-        for (std::size_t i = 0; i + 1 < k; ++i) {
-            for (std::size_t j = i + 1; j < k; ++j)
-                pair_keep.push_back(pair_map(hyps[i], hyps[j]));
-        }
-        // `hyps` is sorted by encoding, so every pair_map(hyps[i],
-        // hyps[j]) with i < j is already in canonical orientation — bit
-        // (u, v) means "hypothesis i from u vs hypothesis j from v".
+    std::vector<std::uint32_t> cls;
+    if (hyps.size() <= pair_k_cap && have_tables) {
+        cls = union_classes(hyps);
         const std::uint32_t init = product_index(cs_->initial_packed);
-        bool all_safe = true;
-        for (const auto& m : pair_keep) {
-            if (m->test(static_cast<std::size_t>(init) * uni_.size + init))
-                all_safe = false;
-        }
-        if (all_safe) {
-            // No hypothesis pair can reach a disagreement (or a throwing
-            // state) from reset: the reference search — capped or not —
-            // returns nullopt.
+        bool one_class = true;
+        for (std::size_t i = 1; i < hyps.size() && one_class; ++i)
+            one_class = cls[i * uni_.size + init] == cls[init];
+        if (one_class) {
+            // Every hypothesis pair is observationally equivalent from
+            // reset (no disagreement or throwing state is reachable): the
+            // reference search — capped or not — returns nullopt.
             ++g_counters.table_answers;
             return std::nullopt;
         }
-        pair_maps.reserve(pair_keep.size());
-        for (const auto& m : pair_keep) pair_maps.push_back(m.get());
     }
     ++g_counters.bfs_searches;
-    return flat_search(hyps, max_joint_states, pair_maps);
+    return flat_search(hyps, max_joint_states, cls);
 }
 
 std::optional<std::vector<global_input>> discrim_engine::splitting_sequence(
@@ -635,7 +560,7 @@ std::optional<std::vector<global_input>> discrim_engine::splitting_sequence(
     // Canonicalize: lowered overrides + sorted hypothesis order.  The
     // joint search's result is invariant under hypothesis permutation
     // (DESIGN.md §5f), so sorting is safe and makes the memo key — and
-    // the pairwise-table cache — independent of caller order.
+    // the splitting-table cache — independent of caller order.
     std::vector<flat_hyp> hyps;
     hyps.reserve(hypotheses.size());
     for (const auto& ovs : hypotheses) {

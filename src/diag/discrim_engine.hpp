@@ -20,16 +20,17 @@
 //      internal-successor graph, ≤ hop-budget transitions); otherwise the
 //      engine transparently computes through the reference search.
 //
-//   2. Pairwise splitting tables — lazily built per spec_context:
-//      a Moore partition of the full product state space into spec
-//      observational-equivalence classes, plus per-hypothesis-pair
-//      "disagreement reachable" bitmaps over product-state pairs (backward
-//      closure over the pair graph, seeded by direct disagreements, dead
-//      pairs with distinct Moore classes, and any state whose step would
-//      throw).  A query whose reset pair cannot reach a disagreement is
-//      answered nullopt without any BFS — exact regardless of the visited
-//      cap — and when the joint space provably fits under the cap, the
-//      tables also prune barren joint states inside the BFS.
+//   2. Splitting tables — per hypothesis, lazily built and cached per
+//      spec_context: successor, packed observation and throw bit for every
+//      (product state, input) of the full product state space.  Each query
+//      then computes one Moore partition over the disjoint union of its k
+//      hypothesis machines (k * S nodes; a throwing cell is an output no
+//      other cell shares).  Hypothesis i from u and hypothesis j from v can
+//      still disagree (or throw) iff their nodes land in different classes.
+//      A query whose k reset nodes share one class is answered nullopt
+//      without any BFS — exact regardless of the visited cap — and when the
+//      joint space provably fits under the cap, a joint state whose k nodes
+//      share one class is pruned inside the BFS as barren.
 //
 //   3. Cross-fault memoization — a sharded, compute-once memo keyed on the
 //      canonicalized hypothesis set (dense compiled ids for the target and
@@ -41,8 +42,8 @@
 //
 // Soundness of the shortcuts is argued in DESIGN.md §5f.  The engine is
 // owned by spec_context, immutable from the caller's view, and safe to
-// share across campaign workers (internal tables are mutex-guarded and
-// built at most once).
+// share across campaign workers (the per-hypothesis tables are built at
+// most once, under one mutex; the partitions run outside it).
 #pragma once
 
 #include <array>
@@ -70,7 +71,7 @@ struct discrim_counters {
     std::size_t joint_states = 0;   ///< joint states expanded by flat BFS
     std::size_t memo_hits = 0;      ///< queries served from the memo
     std::size_t memo_misses = 0;    ///< queries that had to compute
-    std::size_t table_answers = 0;  ///< answered by pairwise tables, no BFS
+    std::size_t table_answers = 0;  ///< answered by splitting tables, no BFS
     std::size_t bfs_searches = 0;   ///< flat joint BFS runs
 };
 
@@ -80,7 +81,7 @@ struct discrim_counters {
 class discrim_engine {
   public:
     /// `cs` and `spec` must outlive the engine (the spec_context owns all
-    /// three).  Construction is cheap; the pairwise tables build lazily on
+    /// three).  Construction is cheap; the splitting tables build lazily on
     /// first use.
     discrim_engine(const compiled_spec& cs, const system& spec);
 
@@ -133,37 +134,36 @@ class discrim_engine {
         key_type enc;  ///< canonical encoding (memo / table cache key)
     };
     /// Per-hypothesis dynamics over the full product state space: packed
-    /// successor + packed observation per (state, input), whether the step
-    /// fired and whether it would throw, and backward reachability of
-    /// "fires an overridden target" (dead states behave exactly like the
-    /// spec forever).
+    /// successor + packed observation per (state, input), and whether the
+    /// step would throw.
     struct hyp_tables {
         std::vector<std::uint32_t> succ;  ///< S * inputs, product indices
         std::vector<std::uint64_t> obs;   ///< S * inputs, packed
-        dyn_bitset fired;                 ///< S * inputs
         dyn_bitset throws;                ///< S * inputs
-        dyn_bitset live;                  ///< S: can still fire a target
     };
 
     [[nodiscard]] std::optional<std::vector<global_input>> compute(
         const std::vector<flat_hyp>& hyps,
         const std::vector<std::vector<transition_override>>& hypotheses,
         std::size_t max_joint_states) const;
+    /// `cls` is union_classes(hyps), or empty when layer 2 does not serve
+    /// the query (then nothing is pruned).
     [[nodiscard]] std::optional<std::vector<global_input>> flat_search(
         const std::vector<flat_hyp>& hyps, std::size_t max_joint_states,
-        const std::vector<const dyn_bitset*>& pair_maps) const;
+        const std::vector<std::uint32_t>& cls) const;
 
-    /// Builds the product universe (strides, Moore classes) once; returns
-    /// false when layer 2 is unavailable (too large, or a spec probe
-    /// misbehaved).
+    /// Builds the product universe (strides, state enumeration) once;
+    /// returns false when layer 2 is unavailable (product space over its
+    /// caps).
     [[nodiscard]] bool ensure_universe() const;
+    /// Cached per-hypothesis tables; caller holds tables_mutex_.
     [[nodiscard]] std::shared_ptr<const hyp_tables> hyp_dynamics_locked(
         const flat_hyp& h) const;
-    /// Disagreement-reachability bitmap over ordered product-state pairs
-    /// for hypotheses (a, b); bit u*S+v set = a-from-u vs b-from-v can
-    /// disagree (or throw).  Cached under the canonical unordered key.
-    [[nodiscard]] std::shared_ptr<const dyn_bitset> pair_map(
-        const flat_hyp& a, const flat_hyp& b) const;
+    /// Moore class per node i * S + u (hypothesis i in product state u) of
+    /// the disjoint union of `hyps`' machines.  Missing tables are built
+    /// under tables_mutex_; the refinement itself runs unlocked.
+    [[nodiscard]] std::vector<std::uint32_t> union_classes(
+        const std::vector<flat_hyp>& hyps) const;
 
     [[nodiscard]] std::uint32_t product_index(
         std::uint64_t packed) const noexcept;
@@ -183,18 +183,14 @@ class discrim_engine {
         std::uint32_t size = 0;             ///< Π state_count[m]
         std::vector<std::uint32_t> stride;  ///< mixed-radix per machine
         std::vector<std::uint64_t> packed;  ///< product index → packed state
-        std::vector<std::uint32_t> cls;     ///< Moore class per state
     };
     mutable std::once_flag universe_once_;
     mutable universe uni_;
 
-    mutable std::mutex tables_mutex_;
+    mutable std::mutex tables_mutex_;  ///< guards hyp_cache_ only
     mutable std::unordered_map<key_type, std::shared_ptr<const hyp_tables>,
                                key_hash>
         hyp_cache_;
-    mutable std::unordered_map<key_type, std::shared_ptr<const dyn_bitset>,
-                               key_hash>
-        pair_cache_;
 
     // --- sharded cross-fault memo (layer 3) -------------------------------
     static constexpr std::size_t memo_shards = 16;

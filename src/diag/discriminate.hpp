@@ -42,7 +42,7 @@ class hypothesis_tracker {
 
     /// Routes find_splitting_sequence() and the spec replays of splits()/
     /// apply_result() through the compiled discrimination engine
-    /// (diag/discrim_engine.hpp): flat joint BFS, pairwise splitting tables
+    /// (diag/discrim_engine.hpp): flat joint BFS, Moore splitting tables
     /// and the engine's campaign-wide memo and replay cache.  Results are
     /// byte-identical to the reference search; nullptr detaches.
     void use_engine(const discrim_engine* engine) noexcept {

@@ -2,9 +2,10 @@
 // with the reference joint search — per splitting-sequence call (memo miss
 // and hit) and through the full diagnose()/run_campaign() pipeline, whose
 // Step 6 is replayed through an engine-less tracker — across cold and warm
-// contexts at jobs 1 and 2, the property that every returned sequence
-// actually splits its hypothesis set, error parity on malformed overrides,
-// and determinism of the memo counters at any job count.
+// contexts at jobs 1 and 2, hypothesis sets on both sides of the splitting
+// tables' size cap, the property that every returned sequence actually
+// splits its hypothesis set, error parity on malformed overrides, and
+// determinism of the engine's counters at any job count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -130,6 +131,76 @@ TEST(discrim_engine, splitting_sequence_identity_random_20_systems) {
     }
 }
 
+TEST(discrim_engine, splitting_sequence_identity_at_pair_k_cap_boundary) {
+    // k = 4, 8 and 16 hypotheses are partitioned by the splitting tables
+    // (16 is their cap); 17 is searched without them.  Each k runs at a cap
+    // above and a cap below the joint bound S^k, so both the pruned and the
+    // unpruned BFS run.  Per k: two windows of distinct hypotheses; k copies
+    // of one hypothesis, which no input sequence can split; k - 1 copies of
+    // one plus another, once sorted first and once last; and k copies of a
+    // hypothesis whose step throws (an internal transition made to send ε),
+    // which equal copies must not hide.
+    std::vector<cfsmdiag::system> systems;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        rng random(seed);
+        random_system_options opts;
+        opts.machines = 2;
+        opts.states_per_machine = 3;
+        opts.extra_transitions = 4;
+        systems.push_back(random_system(opts, random));
+    }
+    systems.push_back(models::sliding_window(4));
+
+    const discrim_counters before = discrim_totals();
+    for (const cfsmdiag::system& sys : systems) {
+        const test_suite suite = transition_tour(sys).suite;
+        const spec_context ctx(sys, suite);
+        ASSERT_TRUE(ctx.discrim().flat_search_available());
+        const auto all = fault_hypotheses(sys);
+        ASSERT_GE(all.size(), 4u);
+        std::vector<transition_override> thrower;
+        for (std::uint32_t m = 0; m < sys.machine_count() && thrower.empty();
+             ++m) {
+            const auto& ts = sys.machine(machine_id{m}).transitions();
+            for (std::uint32_t t = 0; t < ts.size(); ++t) {
+                if (ts[t].kind != output_kind::internal) continue;
+                thrower.push_back({global_transition_id{machine_id{m},
+                                                        transition_id{t}},
+                                   symbol::epsilon()});
+                break;
+            }
+        }
+        ASSERT_FALSE(thrower.empty());
+        for (const std::size_t k : {std::size_t{4}, std::size_t{8},
+                                    std::size_t{16}, std::size_t{17}}) {
+            std::vector<std::vector<std::vector<transition_override>>> sets;
+            if (all.size() >= k) {
+                sets.emplace_back(all.begin(), all.begin() + k);
+                sets.emplace_back(all.end() - k, all.end());
+            }
+            sets.emplace_back(k, all[all.size() / 2]);
+            for (const auto& [copied, other] :
+                 {std::pair{all[1], all[all.size() - 2]},
+                  std::pair{all[all.size() - 2], all[1]}}) {
+                sets.emplace_back(k - 1, copied);
+                sets.back().push_back(other);
+            }
+            sets.emplace_back(k, thrower);
+            for (std::size_t s = 0; s < sets.size(); ++s) {
+                SCOPED_TRACE(sys.name() + ", k " + std::to_string(k) +
+                             ", set " + std::to_string(s));
+                for (const std::size_t cap :
+                     {std::size_t{100'000}, std::size_t{50}})
+                    expect_engine_matches_reference(sys, ctx.discrim(),
+                                                    sets[s], cap);
+            }
+        }
+    }
+    const discrim_counters after = discrim_totals();
+    EXPECT_GT(after.table_answers, before.table_answers);
+    EXPECT_GT(after.bfs_searches, before.bfs_searches);
+}
+
 TEST(discrim_engine, returned_sequences_actually_split) {
     const auto ex = paperex::make_paper_example();
     const test_suite suite = transition_tour(ex.spec).suite;
@@ -239,35 +310,48 @@ TEST(discrim_engine, campaign_entries_identical_across_all_configurations) {
 }
 
 TEST(discrim_engine, memo_counters_deterministic_across_jobs) {
+    // Fresh context per run: the sharded memo computes under its lock and
+    // each splitting table is built once under the table lock, so every
+    // counter — simulated steps included — depends only on the workload,
+    // not on the worker interleaving.  sliding_window(4) is small enough
+    // for the splitting tables, so their builds are part of the totals.
     const auto ex = paperex::make_paper_example();
-    const test_suite suite = transition_tour(ex.spec).suite;
-    auto faults = enumerate_all_faults(ex.spec);
-    if (faults.size() > 60) faults.resize(60);
+    auto paper_faults = enumerate_all_faults(ex.spec);
+    if (paper_faults.size() > 60) paper_faults.resize(60);
+    const cfsmdiag::system window = models::sliding_window(4);
 
-    campaign_metrics first;
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}}) {
-        campaign_options o;
-        o.jobs = jobs;
-        // Fresh context per run: the sharded memo computes under its lock,
-        // so hit/miss totals depend only on the workload, not the worker
-        // interleaving.
-        campaign_engine e(ex.spec, suite, faults, o);
-        (void)e.run();
-        if (jobs == 1) {
-            first = e.metrics();
-            EXPECT_GT(first.discrim_memo_hits + first.discrim_memo_misses,
-                      0u);
-        } else {
-            EXPECT_EQ(e.metrics().discrim_memo_hits,
-                      first.discrim_memo_hits);
-            EXPECT_EQ(e.metrics().discrim_memo_misses,
-                      first.discrim_memo_misses);
-            EXPECT_EQ(e.metrics().discrim_joint_states,
-                      first.discrim_joint_states);
-            EXPECT_EQ(e.metrics().discrim_table_answers,
-                      first.discrim_table_answers);
-            EXPECT_EQ(e.metrics().discrim_bfs_searches,
-                      first.discrim_bfs_searches);
+    struct workload {
+        const cfsmdiag::system* spec;
+        std::vector<single_transition_fault> faults;
+    };
+    const workload workloads[] = {
+        {&ex.spec, paper_faults}, {&window, enumerate_all_faults(window)}};
+    for (const workload& w : workloads) {
+        SCOPED_TRACE(w.spec->name());
+        const test_suite suite = transition_tour(*w.spec).suite;
+        campaign_metrics first;
+        for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+            campaign_options o;
+            o.jobs = jobs;
+            campaign_engine e(*w.spec, suite, w.faults, o);
+            (void)e.run();
+            const campaign_metrics& m = e.metrics();
+            if (jobs == 1) {
+                first = m;
+                EXPECT_GT(m.discrim_memo_hits + m.discrim_memo_misses, 0u);
+                EXPECT_GT(m.discrim_bfs_searches, 0u);
+                continue;
+            }
+            EXPECT_EQ(m.replays, first.replays);
+            EXPECT_EQ(m.simulated_steps, first.simulated_steps);
+            EXPECT_EQ(m.discrim_memo_hits, first.discrim_memo_hits);
+            EXPECT_EQ(m.discrim_memo_misses, first.discrim_memo_misses);
+            EXPECT_EQ(m.discrim_joint_states, first.discrim_joint_states);
+            EXPECT_EQ(m.discrim_table_answers, first.discrim_table_answers);
+            EXPECT_EQ(m.discrim_bfs_searches, first.discrim_bfs_searches);
+        }
+        if (w.spec == &window) {
+            EXPECT_GT(first.discrim_table_answers, 0u);
         }
     }
 }

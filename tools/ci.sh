@@ -44,6 +44,13 @@ cmake --build build-ci-release -j "${JOBS}" --target bench_fault_campaign
 echo "=== [release] perfbench self-test ==="
 python3 perfbench/run.py --self-test
 
+# Headline-workload correctness: one timed repetition of sliding_window(8),
+# all 9064 faults at --jobs 4, must reproduce the recorded entry digest and
+# every deterministic counter (run.py exits non-zero otherwise).
+echo "=== [release] perfbench sw8_campaign correctness ==="
+python3 perfbench/run.py --workload sw8_campaign --seed 1 --seconds 1 \
+    --trace 0
+
 # Sweep smoke: checkpoint a campaign, SIGKILL it mid-run via the
 # --abort-after test seam, resume, and diff the merged spill against a
 # straight-through run — the crash-safety contract, end to end through the
@@ -84,7 +91,7 @@ echo "=== [tsan] run ==="
 "${tsan_dir}/tests/campaign_engine_test"
 # The discrimination engine's lazily-built tables, sharded memo and replay/
 # proposal caches are shared across campaign workers — the jobs-2 identity
-# and counter-determinism tests are the racy surface.
+# and jobs-4 counter-determinism tests are the racy surface.
 "${tsan_dir}/tests/discrim_engine_test"
 # The compiled core is shared read-only across workers (one spec_context per
 # engine); the bitset/property tests run here to catch races in the arena
