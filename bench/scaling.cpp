@@ -76,13 +76,14 @@ void bm_replay_cache(benchmark::State& state) {
     const auto report = collect_symptoms(spec, suite, iut);
     const spec_context ctx(spec, suite);
     const replay_cache cache = ctx.make_replay_cache(report);
+    const cost_counters base = cost_record;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             hypothesis_consistent(spec, suite, report, fault.to_override(),
                                   &cache));
     }
     state.counters["case_skips_total"] =
-        static_cast<double>(replay_cache_case_skips());
+        static_cast<double>((cost_record - base).cache_case_skips);
 }
 BENCHMARK(bm_replay_cache)->Arg(3)->Arg(5)->Arg(8);
 

@@ -1,12 +1,9 @@
 #include "cfsm/simulator.hpp"
 
+#include "util/cost.hpp"
 #include "util/error.hpp"
 
 namespace cfsmdiag {
-
-namespace detail {
-thread_local std::size_t simulated_step_count = 0;
-}  // namespace detail
 
 namespace {
 
@@ -79,7 +76,7 @@ simulator::effective simulator::resolve(global_transition_id id) const {
 
 observation simulator::apply(const global_input& in,
                              std::vector<global_transition_id>* fired) {
-    ++detail::simulated_step_count;
+    ++cost_record.simulated_steps;
     if (in.action == global_input::kind::reset) {
         reset();
         return observation::none();

@@ -31,13 +31,6 @@
 
 namespace cfsmdiag {
 
-namespace detail {
-/// Raw per-thread count of simulator::apply() calls.  Read through
-/// simulated_steps() (diag/hypotheses.hpp), next to hypothesis_replays() —
-/// the two together make replay cost observable per campaign entry.
-extern thread_local std::size_t simulated_step_count;
-}  // namespace detail
-
 /// One global stimulus.
 struct global_input {
     enum class kind : std::uint8_t { reset, apply };

@@ -80,6 +80,7 @@
 #include "testgen/testcase.hpp"
 #include "testgen/tour.hpp"
 #include "testgen/wsuite.hpp"
+#include "util/cost.hpp"
 #include "util/error.hpp"
 #include "util/ids.hpp"
 #include "util/json.hpp"

@@ -7,10 +7,9 @@
 #include <string>
 
 #include "cfsm/alphabet.hpp"
-#include "diag/hypotheses.hpp"
-#include "diag/replay_cache.hpp"
 #include "fault/enumerate.hpp"
 #include "util/budget.hpp"
+#include "util/cost.hpp"
 #include "util/error.hpp"
 
 namespace cfsmdiag {
@@ -74,7 +73,7 @@ std::uint64_t flat_step(const compiled_spec& cs, const system& spec,
                         std::uint64_t& state, std::uint32_t port,
                         std::uint32_t sym, const flat_override* ovs,
                         std::size_t ov_count, bool* fired) {
-    ++detail::simulated_step_count;
+    ++cost_record.simulated_steps;
     if (fired) *fired = false;
     if (port == invalid_index) {  // reset
         state = cs.initial_packed;
@@ -395,7 +394,7 @@ bool flat_replayer::suffix_consistent(std::size_t ci, std::uint32_t f,
     const case_obs& co = cases_[ci];
     const std::size_t n = ct.in_port.size();
 
-    detail::note_replay_suffix();
+    ++cost_record.cache_suffix_replays;
     if (epoch_ == std::numeric_limits<std::uint32_t>::max()) {
         std::fill(memo_epoch_.begin(), memo_epoch_.end(), 0);
         epoch_ = 0;
@@ -446,7 +445,7 @@ bool flat_replayer::suffix_consistent(std::size_t ci, std::uint32_t f,
 bool flat_replayer::consistent(const transition_override& ov) {
     // Same counter as hypothesis_consistent(): campaign_entry::replays is
     // part of the entry's identity, so both paths must count identically.
-    detail::note_hypothesis_replay();
+    ++cost_record.replays;
     detail::budget_poll();
     const flat_override f = lower(ov);
     for (std::size_t ci = 0; ci < cases_.size(); ++ci) {
@@ -458,7 +457,7 @@ bool flat_replayer::consistent(const transition_override& ov) {
         if (ff == invalid_index) {
             // Mutated == spec on all of this case.
             if (cases_[ci].first_symptom != invalid_index) return false;
-            detail::note_replay_case_skip();
+            ++cost_record.cache_case_skips;
             continue;
         }
         if (cases_[ci].first_symptom < ff) return false;

@@ -178,8 +178,9 @@ struct compiled_conflicts {
 
 /// Compiled hypothesis replayer for one symptom report: same verdicts as
 /// hypothesis_consistent(spec, suite, report, ov), over packed states.  The
-/// replay uses the prefix lemma + re-synchronization and bumps the replay
-/// cache's case-skip/suffix counters.
+/// replay uses the prefix lemma + re-synchronization and bumps the same
+/// cost_record fields (util/cost.hpp) as the replay cache and
+/// hypothesis_consistent().
 ///
 /// Not thread-safe (owns scratch buffers); build one per diagnosis.
 class flat_replayer {

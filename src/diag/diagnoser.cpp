@@ -103,8 +103,8 @@ void finalize_reliability(diagnosis_result& result, const oracle& iut) {
 }
 
 /// The step quota the degradation ladder grants its cheaper rung: enough
-/// governed steps for a tightly capped reference Step 6 to finish on any
-/// realistic live set, small enough that a pathological rung still stops.
+/// governed steps for a tightly capped Step 6 to finish on any realistic
+/// live set, small enough that a pathological rung still stops.
 constexpr std::uint64_t rung_grace_steps = 100'000;
 
 /// The joint-state cap the ladder tightens to when the configured search
@@ -241,15 +241,18 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
     // Step 6: adaptive discrimination, governed by the degradation ladder.
     // Rung 0 searches through the context's discrimination engine with the
     // configured `joint_cap`; a budget exhaustion mid-loop drops to rung 1
-    // (reference search, tighter cap, a fresh step-quota grace so the rung
-    // itself stays bounded), a second exhaustion to rung 2 (skip
+    // (the same engine with a tighter cap, under a fresh step-quota grace
+    // so the rung itself stays bounded), a second exhaustion to rung 2 (skip
     // discrimination entirely).  Hypotheses are only ever *removed* by
     // genuine refutation, so every rung's live set still contains the
     // truth — a stop widens the verdict, never flips it.
-    hypothesis_tracker tracker(spec, result.initial_diagnoses);
-    bool use_flat = true;
+    const auto make_tracker = [&](std::vector<diagnosis> live) {
+        hypothesis_tracker t(spec, std::move(live));
+        t.use_engine(&ctx.discrim());
+        return t;
+    };
+    hypothesis_tracker tracker = make_tracker(result.initial_diagnoses);
     std::size_t joint_cap = options.max_joint_states;
-    tracker.use_engine(&ctx.discrim());
     bool unreliable_tests = false;
     bool resource_stopped = false;
     int rung = 0;
@@ -265,8 +268,7 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
             // replay the evidence gathered so far.
             result.used_escalation = true;
             result.evaluated = evaluate_full();
-            tracker = hypothesis_tracker(spec, result.evaluated.diagnoses());
-            if (use_flat) tracker.use_engine(&ctx.discrim());
+            tracker = make_tracker(result.evaluated.diagnoses());
             for (const auto& rec : result.additional_tests) {
                 if (rec.quarantined) continue;
                 (void)tracker.apply_result(rec.tc.inputs, rec.observed);
@@ -275,19 +277,11 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
         if (tracker.count() <= 1) break;
         bool progressed = false;
         if (options.structured_step6) {
-            // With the engine on, the derivation comes from its
-            // campaign-wide cache (identical proposals, computed once per
-            // distinct live set).
-            std::shared_ptr<const std::vector<proposed_test>> cached;
-            std::vector<proposed_test> local;
-            if (use_flat)
-                cached = ctx.discrim().structured_proposals(tracker,
-                                                            options.step6);
-            else
-                local = propose_structured_tests(spec, tracker,
-                                                 options.step6);
-            const auto& proposals = cached ? *cached : local;
-            for (const auto& p : proposals) {
+            // The derivation comes from the engine's campaign-wide cache
+            // (identical proposals, computed once per distinct live set).
+            const auto proposals =
+                ctx.discrim().structured_proposals(tracker, options.step6);
+            for (const auto& p : *proposals) {
                 if (tracker.count() <= 1) break;
                 if (!tracker.splits(p.tc.inputs)) continue;
                 if (!apply_test(spec, iut, tracker, result, p.tc, p.purpose,
@@ -322,14 +316,14 @@ diagnosis_result diagnose_impl(const spec_context& ctx, oracle& iut,
         // Rung 1: the configured search starved.  Rebuild the tracker from
         // the current survivors (a superset of the fully filtered set —
         // refutation may have been interrupted mid-test, which only keeps
-        // extra hypotheses alive) on the reference path with a tight cap,
-        // and run it under a cancel-only view of the exhausted budget plus
-        // a fresh step-quota grace: the parent budget would re-throw on the
-        // first poll, but external cancellation must still cut through and
-        // a pathological rung must still terminate.
-        use_flat = false;
+        // extra hypotheses alive) with a tight cap, and run it under a
+        // cancel-only view of the exhausted budget plus a fresh step-quota
+        // grace: the parent budget would re-throw on the first poll, but
+        // external cancellation must still cut through and a pathological
+        // rung must still terminate.  The engine stays attached, so the
+        // rung may finish on memo hits (its key includes the cap).
         joint_cap = std::min(joint_cap, rung_joint_cap);
-        tracker = hypothesis_tracker(spec, tracker.alive());
+        tracker = make_tracker(tracker.alive());
         const run_budget* exhausted = detail::current_budget();
         rung_budget = exhausted ? exhausted->cancel_only() : run_budget{};
         rung_budget.with_step_quota(rung_grace_steps);

@@ -7,12 +7,11 @@
 #include "diag/discriminate.hpp"
 #include "diag/replay_cache.hpp"
 #include "util/budget.hpp"
+#include "util/cost.hpp"
 #include "util/error.hpp"
 
 namespace cfsmdiag {
 namespace {
-
-thread_local discrim_counters g_counters;
 
 /// Must match simulator.cpp's default budget: the chain-safety analysis
 /// proves spec chains terminate within it.
@@ -193,8 +192,6 @@ class row_interner {
 thread_local epoch_set g_dense;
 
 }  // namespace
-
-discrim_counters discrim_totals() noexcept { return g_counters; }
 
 std::size_t discrim_engine::key_hash::operator()(
     const key_type& k) const noexcept {
@@ -478,7 +475,7 @@ std::optional<std::vector<global_input>> discrim_engine::flat_search(
                     at = parent[at];
                 }
                 std::reverse(seq.begin(), seq.end());
-                g_counters.joint_states += visited_count;
+                cost_record.discrim_joint_states += visited_count;
                 return seq;
             }
             if (!progressed) continue;  // ε step in every hypothesis
@@ -519,7 +516,7 @@ std::optional<std::vector<global_input>> discrim_engine::flat_search(
             }
         }
     }
-    g_counters.joint_states += visited_count;
+    cost_record.discrim_joint_states += visited_count;
     return std::nullopt;
 }
 
@@ -544,11 +541,11 @@ std::optional<std::vector<global_input>> discrim_engine::compute(
             // Every hypothesis pair is observationally equivalent from
             // reset (no disagreement or throwing state is reachable): the
             // reference search — capped or not — returns nullopt.
-            ++g_counters.table_answers;
+            ++cost_record.discrim_table_answers;
             return std::nullopt;
         }
     }
-    ++g_counters.bfs_searches;
+    ++cost_record.discrim_bfs_searches;
     return flat_search(hyps, max_joint_states, cls);
 }
 
@@ -591,10 +588,10 @@ std::optional<std::vector<global_input>> discrim_engine::splitting_sequence(
     const std::lock_guard<std::mutex> lock(shard.mutex);
     const auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-        ++g_counters.memo_hits;
+        ++cost_record.discrim_memo_hits;
         return it->second;
     }
-    ++g_counters.memo_misses;
+    ++cost_record.discrim_memo_misses;
     auto result = compute(hyps, hypotheses, max_joint_states);
     shard.map.emplace(std::move(key), result);
     return result;

@@ -62,22 +62,6 @@ class sequence_replay;
 struct proposed_test;
 struct step6_options;
 
-/// Thread-local discrimination cost counters, monotone per thread —
-/// snapshot before and after a diagnose() run and subtract, exactly like
-/// hypothesis_replays().  All five are deterministic campaign-wide totals
-/// for any --jobs (the memo computes under its shard lock, so each distinct
-/// key is a miss exactly once no matter which worker gets there first).
-struct discrim_counters {
-    std::size_t joint_states = 0;   ///< joint states expanded by flat BFS
-    std::size_t memo_hits = 0;      ///< queries served from the memo
-    std::size_t memo_misses = 0;    ///< queries that had to compute
-    std::size_t table_answers = 0;  ///< answered by splitting tables, no BFS
-    std::size_t bfs_searches = 0;   ///< flat joint BFS runs
-};
-
-/// Snapshot of the calling thread's counters.
-[[nodiscard]] discrim_counters discrim_totals() noexcept;
-
 class discrim_engine {
   public:
     /// `cs` and `spec` must outlive the engine (the spec_context owns all

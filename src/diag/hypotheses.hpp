@@ -29,33 +29,12 @@ namespace cfsmdiag {
 /// test case of the report.  When `cache` is non-null the check runs
 /// through the replay cache (prefix skipping + suffix simulation) instead
 /// of a full from-reset replay; the verdict is identical either way.
+/// Each call counts one `cost_record.replays` (util/cost.hpp).
 [[nodiscard]] bool hypothesis_consistent(const system& spec,
                                          const test_suite& suite,
                                          const symptom_report& report,
                                          const transition_override& ov,
                                          const replay_cache* cache = nullptr);
-
-/// Number of hypothesis replays (`hypothesis_consistent` calls) performed
-/// by the *calling thread* so far.  Thread-local, so parallel campaign
-/// workers get attributable per-fault counts without synchronization; the
-/// count is monotone — snapshot before and after a diagnose() run and
-/// subtract.  Cached and uncached replays count alike, so the count is
-/// the same on the compiled and reference paths.
-[[nodiscard]] std::size_t hypothesis_replays() noexcept;
-
-/// Simulator steps (`simulator::apply` calls) performed by the calling
-/// thread so far.  Same thread-local snapshot-and-subtract protocol as
-/// hypothesis_replays(); together they make the replay cache's savings
-/// observable (replays stay constant, steps drop).
-[[nodiscard]] std::size_t simulated_steps() noexcept;
-
-namespace detail {
-/// Bumps the hypothesis_replays() counter.  The compiled core
-/// (flat_replayer) checks hypotheses without going through
-/// hypothesis_consistent(); it calls this so the per-fault replay counts —
-/// part of a campaign entry's identity — stay equal across paths.
-void note_hypothesis_replay() noexcept;
-}  // namespace detail
 
 /// findendingstates for one transition.
 [[nodiscard]] std::vector<state_id> end_states(const system& spec,

@@ -4,13 +4,11 @@
 #include <map>
 #include <utility>
 
+#include "util/cost.hpp"
 #include "util/error.hpp"
 
 namespace cfsmdiag {
 namespace {
-
-thread_local std::size_t case_skip_count = 0;
-thread_local std::size_t suffix_replay_count = 0;
 
 std::vector<std::uint32_t> machine_offsets(const system& spec,
                                            std::uint32_t& total) {
@@ -103,16 +101,6 @@ std::uint32_t next_fire(
 
 }  // namespace
 
-std::size_t replay_cache_case_skips() noexcept { return case_skip_count; }
-std::size_t replay_cache_suffix_replays() noexcept {
-    return suffix_replay_count;
-}
-
-namespace detail {
-void note_replay_case_skip() noexcept { ++case_skip_count; }
-void note_replay_suffix() noexcept { ++suffix_replay_count; }
-}  // namespace detail
-
 replay_cache::replay_cache(const system& spec, const test_suite& suite,
                            const symptom_report& report)
     : spec_(&spec), suite_(&suite), report_(&report) {
@@ -196,7 +184,7 @@ bool replay_cache::suffix_consistent(
     const auto& symptoms = report_->runs[ci].symptom_steps;
     const std::size_t n = inputs.size();
 
-    ++suffix_replay_count;
+    ++cost_record.cache_suffix_replays;
     // Effect of a firing step entered in sync with the spec run, memoized
     // by the step's (state, input) class: the mutated outcome is a pure
     // function of the class, so repeat firings from the same context cost
@@ -257,7 +245,7 @@ bool replay_cache::consistent(const transition_override& ov) const {
             // The mutated run equals the spec run on all of this case:
             // consistent iff the case showed no symptom.
             if (c.first_symptom) return false;
-            ++case_skip_count;
+            ++cost_record.cache_case_skips;
             continue;
         }
         // Prefix [0, f): mutated == spec, so any symptom there refutes.
@@ -284,7 +272,7 @@ bool replay_cache::consistent(
         for (std::uint32_t d : targets) f = std::min(f, c.first_fire[d]);
         if (f == invalid_index) {
             if (c.first_symptom) return false;
-            ++case_skip_count;
+            ++cost_record.cache_case_skips;
             continue;
         }
         if (c.first_symptom && *c.first_symptom < f) return false;
@@ -311,12 +299,12 @@ std::vector<observation> sequence_replay::predict(
         checked_dense_id(*spec_, machine_offset_, ov.target);
     std::uint32_t f = first_fire_[d];
     if (f == invalid_index) {
-        ++case_skip_count;
+        ++cost_record.cache_case_skips;
         return expected_;
     }
     std::vector<observation> out(expected_.begin(), expected_.begin() + f);
     out.reserve(expected_.size());
-    ++suffix_replay_count;
+    ++cost_record.cache_suffix_replays;
     const std::vector<std::uint32_t> targets{d};
     simulator sim(*spec_, ov);
     sim.set_state(states_[f]);
@@ -347,13 +335,13 @@ bool sequence_replay::matches(
         checked_dense_id(*spec_, machine_offset_, ov.target);
     const std::uint32_t f = first_fire_[d];
     if (f == invalid_index) {
-        ++case_skip_count;
+        ++cost_record.cache_case_skips;
         return observed == expected_;
     }
     for (std::size_t step = 0; step < f; ++step) {
         if (expected_[step] != observed[step]) return false;
     }
-    ++suffix_replay_count;
+    ++cost_record.cache_suffix_replays;
     const std::vector<std::uint32_t> targets{d};
     simulator sim(*spec_, ov);
     sim.set_state(states_[f]);

@@ -45,27 +45,13 @@
 
 namespace cfsmdiag {
 
-/// Per-thread counters (same pattern as hypothesis_replays()): test cases
-/// resolved by the prefix lemma alone (zero simulated steps) and suffix
-/// replays performed (snapshot restore + partial simulation).
-[[nodiscard]] std::size_t replay_cache_case_skips() noexcept;
-[[nodiscard]] std::size_t replay_cache_suffix_replays() noexcept;
-
-namespace detail {
-/// Counter hooks for the compiled core (diag/compiled.hpp): flat_replayer
-/// resolves cases by the same prefix lemma without going through
-/// replay_cache, and bumps the same thread-local counters so campaign
-/// metrics agree across paths.
-void note_replay_case_skip() noexcept;
-void note_replay_suffix() noexcept;
-}  // namespace detail
-
 /// Replay accelerator for one (spec, suite, symptom report) triple.
 ///
 /// Holds references only — spec, suite and report must outlive the cache.
-/// Immutable after construction apart from the thread-local counters, so a
-/// cache may be shared by const reference within one diagnosis; campaign
-/// workers each build their own (the report is per-IUT anyway).
+/// Immutable after construction (it bumps only the calling thread's
+/// cost_record), so a cache may be shared by const reference within one
+/// diagnosis; campaign workers each build their own (the report is per-IUT
+/// anyway).
 class replay_cache {
   public:
     [[nodiscard]] const system& spec() const noexcept { return *spec_; }

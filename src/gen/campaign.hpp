@@ -168,7 +168,8 @@ struct campaign_entry {
                             const campaign_entry&) = default;
 };
 
-struct campaign_stats {
+/// The verdict tallies shared by campaign_stats and campaign_aggregator.
+struct verdict_counts {
     std::size_t total = 0;
     std::size_t detected = 0;
     std::size_t localized = 0;          ///< outcome == localized
@@ -195,6 +196,12 @@ struct campaign_stats {
     std::size_t retries = 0;
     std::size_t transient_failures = 0;
     std::size_t quarantined_runs = 0;   ///< suite runs + Step-6 tests
+
+    friend auto operator<=>(const verdict_counts&,
+                            const verdict_counts&) = default;
+};
+
+struct campaign_stats : verdict_counts {
     double mean_initial_diagnoses = 0.0;  ///< over detected faults
     double mean_final_diagnoses = 0.0;
     double mean_additional_tests = 0.0;
@@ -209,23 +216,7 @@ struct campaign_stats {
 /// and restored later reproduces the uninterrupted aggregates bit for bit;
 /// the sweep checkpoint layer (gen/checkpoint.hpp) serializes exactly
 /// these fields.  Folding is order-independent across entries.
-struct campaign_aggregator {
-    std::size_t total = 0;
-    std::size_t detected = 0;
-    std::size_t localized = 0;
-    std::size_t localized_equiv = 0;
-    std::size_t ambiguous = 0;
-    std::size_t no_hypothesis = 0;
-    std::size_t inconclusive_unreliable = 0;
-    std::size_t errored = 0;
-    std::size_t inconclusive_resource = 0;
-    std::size_t timed_out = 0;
-    std::size_t sound = 0;
-    std::size_t escalations = 0;
-    std::size_t fallbacks = 0;
-    std::size_t retries = 0;
-    std::size_t transient_failures = 0;
-    std::size_t quarantined_runs = 0;
+struct campaign_aggregator : verdict_counts {
     /// Integer sums over detected entries; finish() turns them into the
     /// mean_* fields.
     std::size_t sum_initial_diagnoses = 0;

@@ -12,7 +12,6 @@
 
 #include "diag/discrim_engine.hpp"
 #include "diag/discriminate.hpp"
-#include "diag/hypotheses.hpp"
 #include "fault/oracle.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -111,22 +110,7 @@ void campaign_aggregator::add(const campaign_entry& entry) {
 
 campaign_stats campaign_aggregator::finish() const {
     campaign_stats stats;
-    stats.total = total;
-    stats.detected = detected;
-    stats.localized = localized;
-    stats.localized_equiv = localized_equiv;
-    stats.ambiguous = ambiguous;
-    stats.no_hypothesis = no_hypothesis;
-    stats.inconclusive_unreliable = inconclusive_unreliable;
-    stats.errored = errored;
-    stats.inconclusive_resource = inconclusive_resource;
-    stats.timed_out = timed_out;
-    stats.sound = sound;
-    stats.escalations = escalations;
-    stats.fallbacks = fallbacks;
-    stats.retries = retries;
-    stats.transient_failures = transient_failures;
-    stats.quarantined_runs = quarantined_runs;
+    static_cast<verdict_counts&>(stats) = *this;
     if (detected > 0) {
         const auto d = static_cast<double>(detected);
         stats.mean_initial_diagnoses =
@@ -177,14 +161,10 @@ campaign_entry campaign_engine::run_one(std::size_t index,
                                         const single_transition_fault& fault,
                                         stage_timings& stage_acc,
                                         double& scoring_acc,
-                                        replay_cost& cost_acc,
+                                        cost_counters& spent,
                                         const cancel_token* cancel) const {
     const system& spec_ = ctx_->spec();
-    const std::size_t replay_base = hypothesis_replays();
-    const std::size_t steps_base = simulated_steps();
-    const std::size_t skips_base = replay_cache_case_skips();
-    const std::size_t suffix_base = replay_cache_suffix_replays();
-    const discrim_counters discrim_base = discrim_totals();
+    const cost_counters base = cost_record;
 
     campaign_entry entry;
     entry.fault = fault;
@@ -315,26 +295,12 @@ campaign_entry campaign_engine::run_one(std::size_t index,
         entry.error_message = e.what();
     }
 
-    const std::size_t diag_steps = simulated_steps() - steps_base;
-    cost_acc.simulated_steps +=
-        diag_steps - std::min(diag_steps, iut_inputs);
-    cost_acc.cache_case_skips += replay_cache_case_skips() - skips_base;
-    cost_acc.cache_suffix_replays +=
-        replay_cache_suffix_replays() - suffix_base;
-    const discrim_counters discrim_now = discrim_totals();
-    cost_acc.discrim_joint_states +=
-        discrim_now.joint_states - discrim_base.joint_states;
-    cost_acc.discrim_memo_hits +=
-        discrim_now.memo_hits - discrim_base.memo_hits;
-    cost_acc.discrim_memo_misses +=
-        discrim_now.memo_misses - discrim_base.memo_misses;
-    cost_acc.discrim_table_answers +=
-        discrim_now.table_answers - discrim_base.table_answers;
-    cost_acc.discrim_bfs_searches +=
-        discrim_now.bfs_searches - discrim_base.bfs_searches;
+    spent = cost_record - base;
+    spent.simulated_steps -= std::min(spent.simulated_steps, iut_inputs);
     // A cancelled fault's partial work depends on when the watchdog fired;
-    // its entry must stay deterministic, so no counters are attributed.
-    if (!entry.timed_out) entry.replays = hypothesis_replays() - replay_base;
+    // its entry must stay deterministic, so no replays are attributed.
+    if (entry.timed_out) spent.replays = 0;
+    entry.replays = spent.replays;
     return entry;
 }
 
@@ -403,24 +369,16 @@ const campaign_stats& campaign_engine::run() {
         const std::size_t i = order[k];
         stage_timings stage;
         double scoring = 0.0;
-        replay_cost cost;
+        cost_counters cost;
         campaign_entry entry =
             run_one(i, faults_[i], stage, scoring, cost, cancel);
 
         const std::lock_guard<std::mutex> lock(merge_mutex);
-        metrics_.replays += entry.replays;
+        metrics_ += cost;
         metrics_.oracle_executions += entry.oracle_executions;
         metrics_.oracle_inputs += entry.oracle_inputs;
         metrics_.additional_tests += entry.additional_tests;
         metrics_.additional_inputs += entry.additional_inputs;
-        metrics_.simulated_steps += cost.simulated_steps;
-        metrics_.cache_case_skips += cost.cache_case_skips;
-        metrics_.cache_suffix_replays += cost.cache_suffix_replays;
-        metrics_.discrim_joint_states += cost.discrim_joint_states;
-        metrics_.discrim_memo_hits += cost.discrim_memo_hits;
-        metrics_.discrim_memo_misses += cost.discrim_memo_misses;
-        metrics_.discrim_table_answers += cost.discrim_table_answers;
-        metrics_.discrim_bfs_searches += cost.discrim_bfs_searches;
         metrics_.stage += stage;
         metrics_.wall_scoring += scoring;
         if (options_.stream_entries) {

@@ -25,39 +25,27 @@
 #include <iosfwd>
 
 #include "gen/campaign.hpp"
+#include "util/cost.hpp"
 #include "util/json.hpp"
 
 namespace cfsmdiag {
 
 /// Aggregate cost counters and per-stage wall-clock for one engine run.
 /// Counters are deterministic; wall-clock fields are informational only.
-struct campaign_metrics {
+///
+/// The inherited cost_counters (util/cost.hpp) are measured around each
+/// fault's diagnosis and scoring.  `simulated_steps` is net of the
+/// simulated IUT's own execution — a real IUT runs in hardware, so only
+/// the algorithm's simulation work is counted — and includes Step 1's
+/// spec run; a timed-out fault contributes no `replays`.  The discrim_*
+/// totals are deterministic at any `jobs`.
+struct campaign_metrics : cost_counters {
     std::size_t faults = 0;             ///< faults actually run
-    std::size_t replays = 0;            ///< hypothesis replays, all faults
     std::size_t oracle_executions = 0;  ///< oracle::execute() calls
     std::size_t oracle_inputs = 0;      ///< inputs applied to IUTs
     std::size_t additional_tests = 0;   ///< Step 6 tests executed
     std::size_t additional_inputs = 0;  ///< Step 6 inputs applied
     std::size_t jobs = 1;               ///< workers the run actually used
-
-    /// Replay-cache cost counters, measured around diagnose() only (the
-    /// scoring equivalence check would dilute them).  `simulated_steps` is
-    /// simulator::apply calls net of the simulated IUT's own execution — a
-    /// real IUT runs in hardware, so only the algorithm's simulation work
-    /// is counted.
-    std::size_t simulated_steps = 0;
-    std::size_t cache_case_skips = 0;       ///< cases resolved w/o simulation
-    std::size_t cache_suffix_replays = 0;   ///< snapshot-restore replays
-
-    /// Discrimination-engine cost counters (diag/discrim_engine.hpp),
-    /// measured around diagnose() and the scoring equivalence checks.
-    /// Campaign-wide totals are deterministic at any `jobs` (the memo
-    /// computes once per distinct key under its shard lock).
-    std::size_t discrim_joint_states = 0;   ///< joint states expanded (BFS)
-    std::size_t discrim_memo_hits = 0;      ///< searches served by the memo
-    std::size_t discrim_memo_misses = 0;    ///< searches that computed
-    std::size_t discrim_table_answers = 0;  ///< settled by splitting tables
-    std::size_t discrim_bfs_searches = 0;   ///< flat joint BFS runs
 
     /// Per-stage wall-clock summed across workers (seconds) — with jobs > 1
     /// the sum exceeds `wall_total`, and the ratio is the effective
@@ -146,19 +134,6 @@ class campaign_engine {
     [[nodiscard]] std::size_t planned_faults() const noexcept;
 
   private:
-    /// Per-fault deltas of the thread-local replay cost counters, taken
-    /// around the diagnose() call only.
-    struct replay_cost {
-        std::size_t simulated_steps = 0;
-        std::size_t cache_case_skips = 0;
-        std::size_t cache_suffix_replays = 0;
-        std::size_t discrim_joint_states = 0;
-        std::size_t discrim_memo_hits = 0;
-        std::size_t discrim_memo_misses = 0;
-        std::size_t discrim_table_answers = 0;
-        std::size_t discrim_bfs_searches = 0;
-    };
-
     /// Runs one fault's diagnosis; never throws.  Anything the diagnosis
     /// (or the options' fault_hook) throws is captured into an `errored`
     /// entry so a single crashing fault cannot take the campaign down.
@@ -167,10 +142,12 @@ class campaign_engine {
     /// `cancel`, when non-null, is the campaign watchdog's token: it is
     /// wired into the entry's budget so cancellation cuts through the
     /// diagnosis, which then surfaces here as a classified timed-out entry.
+    /// `spent` receives the fault's cost_record delta, attributed as
+    /// campaign_metrics describes.
     campaign_entry run_one(std::size_t index,
                            const single_transition_fault& fault,
                            stage_timings& stage_acc, double& scoring_acc,
-                           replay_cost& cost_acc,
+                           cost_counters& spent,
                            const cancel_token* cancel) const;
 
     /// Engaged only by the (spec, suite) convenience constructor.

@@ -8,8 +8,8 @@
 // (joint BFS expansion, hypothesis replay, suite execution) call
 // `detail::budget_poll()`, which is a no-op unless a budget is installed
 // for the current thread via `budget_scope` — the same thread-local idiom
-// as the replay/step counters in diag/hypotheses.hpp, so threading a budget
-// through the pipeline costs no signature churn.
+// as the cost counters in util/cost.hpp, so threading a budget through the
+// pipeline costs no signature churn.
 //
 // Two distinct stop channels, deliberately different exception types:
 //   - `resource_exhausted` — *this entry's own* budget ran out (deadline,

@@ -37,7 +37,7 @@ void expect_engine_matches_reference(
     for (const bool second_call : {false, true}) {
         SCOPED_TRACE("cap " + std::to_string(cap) + ", call " +
                      std::to_string(1 + second_call));
-        const std::size_t hits = discrim_totals().memo_hits;
+        const std::size_t hits = cost_record.discrim_memo_hits;
         std::optional<std::vector<global_input>> flat;
         bool flat_threw = false;
         std::string flat_msg;
@@ -53,7 +53,7 @@ void expect_engine_matches_reference(
         } else {
             EXPECT_EQ(ref, flat);
             if (second_call && hyps.size() >= 2) {
-                EXPECT_EQ(discrim_totals().memo_hits, hits + 1);
+                EXPECT_EQ(cost_record.discrim_memo_hits, hits + 1);
             }
         }
     }
@@ -151,7 +151,7 @@ TEST(discrim_engine, splitting_sequence_identity_at_pair_k_cap_boundary) {
     }
     systems.push_back(models::sliding_window(4));
 
-    const discrim_counters before = discrim_totals();
+    const cost_counters before = cost_record;
     for (const cfsmdiag::system& sys : systems) {
         const test_suite suite = transition_tour(sys).suite;
         const spec_context ctx(sys, suite);
@@ -196,9 +196,9 @@ TEST(discrim_engine, splitting_sequence_identity_at_pair_k_cap_boundary) {
             }
         }
     }
-    const discrim_counters after = discrim_totals();
-    EXPECT_GT(after.table_answers, before.table_answers);
-    EXPECT_GT(after.bfs_searches, before.bfs_searches);
+    const cost_counters spent = cost_record - before;
+    EXPECT_GT(spent.discrim_table_answers, 0u);
+    EXPECT_GT(spent.discrim_bfs_searches, 0u);
 }
 
 TEST(discrim_engine, returned_sequences_actually_split) {
@@ -311,9 +311,10 @@ TEST(discrim_engine, campaign_entries_identical_across_all_configurations) {
 
 TEST(discrim_engine, memo_counters_deterministic_across_jobs) {
     // Fresh context per run: the sharded memo computes under its lock and
-    // each splitting table is built once under the table lock, so every
-    // counter — simulated steps included — depends only on the workload,
-    // not on the worker interleaving.  sliding_window(4) is small enough
+    // each splitting table is built once under the table lock, so the whole
+    // cost record — replays, simulated steps and replay-cache counters
+    // included — depends only on the workload, not on the worker
+    // interleaving.  sliding_window(4) is small enough
     // for the splitting tables, so their builds are part of the totals.
     const auto ex = paperex::make_paper_example();
     auto paper_faults = enumerate_all_faults(ex.spec);
@@ -329,7 +330,7 @@ TEST(discrim_engine, memo_counters_deterministic_across_jobs) {
     for (const workload& w : workloads) {
         SCOPED_TRACE(w.spec->name());
         const test_suite suite = transition_tour(*w.spec).suite;
-        campaign_metrics first;
+        cost_counters first;
         for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
             campaign_options o;
             o.jobs = jobs;
@@ -342,13 +343,7 @@ TEST(discrim_engine, memo_counters_deterministic_across_jobs) {
                 EXPECT_GT(m.discrim_bfs_searches, 0u);
                 continue;
             }
-            EXPECT_EQ(m.replays, first.replays);
-            EXPECT_EQ(m.simulated_steps, first.simulated_steps);
-            EXPECT_EQ(m.discrim_memo_hits, first.discrim_memo_hits);
-            EXPECT_EQ(m.discrim_memo_misses, first.discrim_memo_misses);
-            EXPECT_EQ(m.discrim_joint_states, first.discrim_joint_states);
-            EXPECT_EQ(m.discrim_table_answers, first.discrim_table_answers);
-            EXPECT_EQ(m.discrim_bfs_searches, first.discrim_bfs_searches);
+            EXPECT_EQ(static_cast<const cost_counters&>(m), first);
         }
         if (w.spec == &window) {
             EXPECT_GT(first.discrim_table_answers, 0u);

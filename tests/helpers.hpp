@@ -6,10 +6,27 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "cfsmdiag.hpp"
+
+namespace cfsmdiag {
+
+/// gtest printer: a failed cost-record comparison shows every field.
+inline void PrintTo(const cost_counters& c, std::ostream* os) {
+    *os << "{replays " << c.replays << ", simulated_steps "
+        << c.simulated_steps << ", cache_case_skips " << c.cache_case_skips
+        << ", cache_suffix_replays " << c.cache_suffix_replays
+        << ", discrim_joint_states " << c.discrim_joint_states
+        << ", discrim_memo_hits " << c.discrim_memo_hits
+        << ", discrim_memo_misses " << c.discrim_memo_misses
+        << ", discrim_table_answers " << c.discrim_table_answers
+        << ", discrim_bfs_searches " << c.discrim_bfs_searches << "}";
+}
+
+}  // namespace cfsmdiag
 
 namespace cfsmdiag::testing_helpers {
 
@@ -104,7 +121,7 @@ inline reference_steps run_reference_steps(const system& spec,
     reference_steps out;
     out.conflicts = generate_conflict_sets(spec, report);
     out.candidates = generate_candidates(spec, report, out.conflicts);
-    const std::size_t base = hypothesis_replays();
+    const std::size_t base = cost_record.replays;
     const auto full = [&] {
         return evaluate_candidates_escalated(
             spec, suite, report, out.candidates,
@@ -119,7 +136,7 @@ inline reference_steps run_reference_steps(const system& spec,
             out.evaluated = full();
     }
     out.initial_diagnoses = out.evaluated.diagnoses();
-    out.replays = hypothesis_replays() - base;
+    out.replays = cost_record.replays - base;
     return out;
 }
 
@@ -151,9 +168,9 @@ inline diagnosis_result expect_steps_match_reference(
     const diagnoser_options& options = {}) {
     const system& spec = ctx.spec();
     simulated_iut iut(spec, fault);
-    const std::size_t base = hypothesis_replays();
+    const std::size_t base = cost_record.replays;
     diagnosis_result result = diagnose(ctx, iut, options);
-    const std::size_t replays = hypothesis_replays() - base;
+    const std::size_t replays = cost_record.replays - base;
     if (!result.symptoms.has_symptoms()) return result;
 
     const replay_cache cache = ctx.make_replay_cache(result.symptoms);
@@ -204,7 +221,7 @@ inline void expect_step6_matches_reference(
     if (result.used_escalation &&
         options.evaluation == evaluation_mode::paper_flag_routing)
         return;
-    const discrim_counters before = discrim_totals();
+    const cost_counters before = cost_record;
     const auto reference_split = [&](const hypothesis_tracker& t) {
         std::vector<std::vector<transition_override>> hyps;
         for (const diagnosis& d : t.alive()) hyps.push_back({d.to_override()});
@@ -267,12 +284,11 @@ inline void expect_step6_matches_reference(
                       diagnosis_outcome::localized_up_to_equivalence,
                   !reference_split(tracker).has_value());
     }
-    const discrim_counters after = discrim_totals();
-    EXPECT_EQ(after.joint_states, before.joint_states);
-    EXPECT_EQ(after.memo_hits, before.memo_hits);
-    EXPECT_EQ(after.memo_misses, before.memo_misses);
-    EXPECT_EQ(after.table_answers, before.table_answers);
-    EXPECT_EQ(after.bfs_searches, before.bfs_searches);
+    // Apart from replay work, the reference path spent nothing.
+    cost_counters spent = cost_record - before;
+    spent.replays = spent.simulated_steps = 0;
+    spent.cache_case_skips = spent.cache_suffix_replays = 0;
+    EXPECT_EQ(spent, cost_counters{});
 }
 
 }  // namespace cfsmdiag::testing_helpers

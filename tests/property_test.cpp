@@ -186,7 +186,7 @@ void expect_compiled_sets_match(const system& spec, const spec_context& ctx,
             options.evaluation = mode;
             options.include_addressing_faults = addressing;
             options.escalate_if_empty = false;
-            std::size_t base = hypothesis_replays();
+            const std::size_t base = cost_record.replays;
             const diagnostic_candidates flat =
                 mode == evaluation_mode::complete
                     ? evaluate_candidates_escalated(ctx.compiled(), replayer,
@@ -194,7 +194,7 @@ void expect_compiled_sets_match(const system& spec, const spec_context& ctx,
                                                     addressing)
                     : evaluate_candidates(ctx.compiled(), replayer, report,
                                           flat_cands);
-            const std::size_t flat_replays = hypothesis_replays() - base;
+            const std::size_t flat_replays = cost_record.replays - base;
             for (const replay_cache* c :
                  {&cache, static_cast<const replay_cache*>(nullptr)}) {
                 SCOPED_TRACE(c ? "replay cache on" : "replay cache off");

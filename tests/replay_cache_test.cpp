@@ -232,12 +232,12 @@ TEST(replay_cache, campaign_entries_identical_with_cache_on_and_off) {
         simulated_iut iut(sys, entry.fault);
         const symptom_report report = collect_symptoms(sys, suite, iut);
         const replay_cache cache = ctx.make_replay_cache(report);
-        std::size_t steps = simulated_steps();
+        std::size_t steps = cost_record.simulated_steps;
         const auto on = run_reference_steps(sys, suite, report, {}, &cache);
-        cached_steps += simulated_steps() - steps;
-        steps = simulated_steps();
+        cached_steps += cost_record.simulated_steps - steps;
+        steps = cost_record.simulated_steps;
         const auto off = run_reference_steps(sys, suite, report, {}, nullptr);
-        uncached_steps += simulated_steps() - steps;
+        uncached_steps += cost_record.simulated_steps - steps;
         EXPECT_EQ(entry.replays, on.replays);
         EXPECT_EQ(entry.replays, off.replays);
         EXPECT_EQ(entry.initial_diagnoses, on.initial_diagnoses.size());
@@ -294,12 +294,12 @@ TEST(replay_cache, multi_fault_diagnosis_identical_with_cache_on_and_off) {
 
 TEST(replay_cache, step_counter_is_monotone_and_counted_per_apply) {
     const auto ex = paperex::make_paper_example();
-    const std::size_t before = simulated_steps();
+    const std::size_t before = cost_record.simulated_steps;
     simulator sim(ex.spec);
     sim.reset();
     (void)sim.apply(ex.suite.cases[0].inputs[0]);
     (void)sim.apply(ex.suite.cases[0].inputs[1]);
-    EXPECT_EQ(simulated_steps(), before + 2);
+    EXPECT_EQ(cost_record.simulated_steps, before + 2);
 }
 
 TEST(replay_cache, rejects_out_of_range_override) {

@@ -44,12 +44,16 @@ cmake --build build-ci-release -j "${JOBS}" --target bench_fault_campaign
 echo "=== [release] perfbench self-test ==="
 python3 perfbench/run.py --self-test
 
-# Headline-workload correctness: one timed repetition of sliding_window(8),
-# all 9064 faults at --jobs 4, must reproduce the recorded entry digest and
-# every deterministic counter (run.py exits non-zero otherwise).
-echo "=== [release] perfbench sw8_campaign correctness ==="
-python3 perfbench/run.py --workload sw8_campaign --seed 1 --seconds 1 \
-    --trace 0
+# Full-size correctness on every workload: one timed repetition each must
+# reproduce the recorded entry digest and every deterministic counter
+# (run.py exits non-zero otherwise).  sliding_window(8) runs all 9064 faults
+# at --jobs 4; rtos_round_robin(7) and the random corpus run serially and
+# cover the Step-5B replay counters without Step-6 contention.
+for workload in sw8_campaign rtos7_serial random_corpus; do
+  echo "=== [release] perfbench ${workload} correctness ==="
+  python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 1 \
+      --trace 0
+done
 
 # Sweep smoke: checkpoint a campaign, SIGKILL it mid-run via the
 # --abort-after test seam, resume, and diff the merged spill against a
