@@ -45,8 +45,11 @@ observation async_simulator::fire(machine_id machine, symbol input) {
     }
     detail::require(e.destination.value < sys_->machine_count() &&
                         e.destination != machine,
-                    "async_simulator: invalid internal destination in " +
-                        sys_->transition_label(gid));
+                    [&] {
+                        return "async_simulator: invalid internal "
+                               "destination in " +
+                               sys_->transition_label(gid);
+                    });
     queues_[e.destination.value][machine.value].push_back(e.output);
     return observation::none();
 }

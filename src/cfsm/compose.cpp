@@ -53,9 +53,11 @@ composition compose(const system& sys, std::size_t max_states) {
         auto it = index.find(tuple);
         if (it != index.end()) return it->second;
         detail::require_model(
-            index.size() < max_states,
-            "compose: more than " + std::to_string(max_states) +
-                " reachable global states in system '" + sys.name() + "'");
+            index.size() < max_states, [&] {
+                return "compose: more than " + std::to_string(max_states) +
+                       " reachable global states in system '" + sys.name() +
+                       "'";
+            });
         const auto id = static_cast<std::uint32_t>(index.size());
         index.emplace(tuple, id);
         out.state_tuples.push_back(tuple);

@@ -1,11 +1,13 @@
 // BFS over the global state space.
 //
-// Shared search engine behind test generation and the diagnoser's
-// additional-test construction (Step 6): find a shortest global input
-// sequence from a given global state to one satisfying a goal, optionally
-// *avoiding* a set of transitions — the paper requires additional diagnostic
-// tests to "not involve any candidate transition in any of the DCtr or DCco
-// sets".
+// The reference search: find a shortest global input sequence from a given
+// global state to one satisfying a goal, optionally *avoiding* a set of
+// transitions — the paper requires additional diagnostic tests to "not
+// involve any candidate transition in any of the DCtr or DCco sets".
+// Test generation (testgen/methods, testgen/wsuite) uses it directly.  The
+// diagnoser's Step 6 proposals run discrim_engine::transfer_from_reset, the
+// same BFS on the compiled core, and reach this one only for systems whose
+// states do not pack into 64 bits; the identity tests use it as the oracle.
 #pragma once
 
 #include <functional>

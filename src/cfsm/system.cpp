@@ -9,14 +9,16 @@ system::system(std::string name, symbol_table symbols,
     : name_(std::move(name)),
       symbols_(std::move(symbols)),
       machines_(std::move(machines)) {
-    detail::require(!machines_.empty(),
-                    "system '" + name_ + "': needs at least one machine");
+    detail::require(!machines_.empty(), [&] {
+        return "system '" + name_ + "': needs at least one machine";
+    });
     for (const auto& m : machines_) m.validate();
 }
 
 const fsm& system::machine(machine_id m) const {
-    detail::require(m.value < machines_.size(),
-                    "system '" + name_ + "': machine index out of range");
+    detail::require(m.value < machines_.size(), [&] {
+        return "system '" + name_ + "': machine index out of range";
+    });
     return machines_[m.value];
 }
 

@@ -78,7 +78,7 @@ std::vector<suspect_group> group_hypotheses(const system& spec,
 
 std::vector<proposed_test> propose_structured_tests(
     const system& spec, const hypothesis_tracker& tracker,
-    const step6_options& options) {
+    const step6_options& options, const transfer_search& transfer) {
     std::vector<proposed_test> proposals;
     if (tracker.count() < 2) return proposals;
 
@@ -110,11 +110,13 @@ std::vector<proposed_test> propose_structured_tests(
         const transition& t = spec.transition_at(g.id);
         const machine_id m = g.id.machine;
 
-        const auto transfer =
-            global_transfer_to_machine_state(spec, init, m, t.from, search);
-        if (!transfer) continue;  // unreachable under the ambiguity rule
+        const auto prefix =
+            transfer ? transfer(m, t.from, search)
+                     : global_transfer_to_machine_state(spec, init, m,
+                                                        t.from, search);
+        if (!prefix) continue;  // unreachable under the ambiguity rule
 
-        std::vector<global_input> base = *transfer;
+        std::vector<global_input> base = *prefix;
         base.push_back(global_input::at(m, t.input));
         const std::string label = spec.transition_label(g.id);
 
@@ -134,7 +136,7 @@ std::vector<proposed_test> propose_structured_tests(
             // the (candidate-free) transfer prefix.
             simulator sim(spec);
             sim.reset();
-            for (const auto& in : *transfer) (void)sim.apply(in);
+            for (const auto& in : *prefix) (void)sim.apply(in);
             const machine_id j = t.destination;
             const fsm& receiver = spec.machine(j);
             const state_id sj = sim.state().states[j.value];

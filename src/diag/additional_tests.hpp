@@ -21,6 +21,11 @@
 // splits the live hypothesis set and skips it otherwise (a test that cannot
 // split teaches nothing — it is "already included in the initially given
 // test suite" in spirit).
+//
+// Production derives proposals through discrim_engine::structured_proposals,
+// which caches them and passes the compiled core's transfer search; the
+// reference global_transfer (cfsm/search.hpp) runs here only for systems
+// whose states do not pack into 64 bits, and for the identity tests.
 #pragma once
 
 #include "cfsm/search.hpp"
@@ -43,11 +48,22 @@ struct step6_options {
     std::size_t max_proposals = 500;
 };
 
+/// The transfer search behind each proposal: a shortest input sequence
+/// from reset to a global state where machine `m` is in state `s`, firing
+/// no transition of `options.avoid` — global_transfer_to_machine_state from
+/// initial_global_state(spec), or a search with equal results, errors and
+/// simulated_steps (discrim_engine::transfer_from_reset).
+using transfer_search =
+    std::function<std::optional<std::vector<global_input>>(
+        machine_id m, state_id s, const global_search_options& options)>;
+
 /// Ordered proposals for the current live hypothesis set.  Candidates whose
 /// source state cannot be reached while avoiding live candidates yield no
 /// structured proposal (the caller falls back to joint-state search).
+/// An empty `transfer` runs the reference global_transfer.
 [[nodiscard]] std::vector<proposed_test> propose_structured_tests(
     const system& spec, const hypothesis_tracker& tracker,
-    const step6_options& options = {});
+    const step6_options& options = {},
+    const transfer_search& transfer = {});
 
 }  // namespace cfsmdiag

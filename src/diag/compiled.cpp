@@ -72,9 +72,9 @@ flat_override lower_override(const compiled_spec& cs,
 std::uint64_t flat_step(const compiled_spec& cs, const system& spec,
                         std::uint64_t& state, std::uint32_t port,
                         std::uint32_t sym, const flat_override* ovs,
-                        std::size_t ov_count, bool* fired) {
+                        std::size_t ov_count, fire_report* fired) {
     ++cost_record.simulated_steps;
-    if (fired) *fired = false;
+    if (fired) fired->any = fired->avoided = false;
     if (port == invalid_index) {  // reset
         state = cs.initial_packed;
         return 0;
@@ -89,7 +89,10 @@ std::uint64_t flat_step(const compiled_spec& cs, const system& spec,
             d = cs.dispatch[cs.disp_offset[current] +
                             s * cs.disp_stride[current] + msg];
         if (d == invalid_index) return 0;  // unspecified: ε, no change
-        if (fired) *fired = true;
+        if (fired) {
+            fired->any = true;
+            if (fired->avoid && fired->avoid->test(d)) fired->avoided = true;
+        }
         const flat_override* hit = nullptr;
         for (std::size_t j = 0; j < ov_count; ++j) {
             if (ovs[j].target == d) {

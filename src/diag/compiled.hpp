@@ -143,17 +143,29 @@ struct flat_override {
 /// carry no port), so packed equality is observation equality.
 [[nodiscard]] std::uint64_t pack_observation(const observation& o) noexcept;
 
+/// What one flat_step chain fired, for the searches that need more than
+/// the observation.  The caller sets `avoid`; flat_step sets the two bits.
+struct fire_report {
+    /// Dense ids to watch (the transfer search's avoided transitions), or
+    /// null.
+    const dyn_bitset* avoid = nullptr;
+    /// The chain fired at least one transition (the reference searches'
+    /// non-empty `fired` list).
+    bool any = false;
+    /// The chain fired at least one transition set in `avoid`.
+    bool avoided = false;
+};
+
 /// One global input applied to a packed state under `ov_count` overrides
-/// (distinct targets).  Returns the packed observation; when `fired` is
-/// non-null it is set to whether the chain fired at least one transition
-/// (the reference search's `progressed` bit, read by the discrimination
-/// engine's joint BFS).  Mutates `state` in place.  Error behaviour —
-/// internal ε message, hop budget — matches simulator::apply exactly,
-/// message text included; `spec` is used for error labels only.
+/// (distinct targets).  Returns the packed observation and, when `fired` is
+/// non-null, fills its bits.  Mutates `state` in place.  The chain always
+/// runs to its end, also after an avoided transition fires.  Error
+/// behaviour — internal ε message, hop budget — matches simulator::apply
+/// exactly, message text included; `spec` is used for error labels only.
 std::uint64_t flat_step(const compiled_spec& cs, const system& spec,
                         std::uint64_t& state, std::uint32_t port,
                         std::uint32_t sym, const flat_override* ovs,
-                        std::size_t ov_count, bool* fired = nullptr);
+                        std::size_t ov_count, fire_report* fired = nullptr);
 
 /// Step 4 as bitmaps: one fired-prefix bitmap per symptomatic case (steps
 /// [0, first_symptom]) over the dense universe, plus their intersection

@@ -186,6 +186,58 @@ class row_interner {
     std::vector<std::uint32_t> slots_;  ///< row id or invalid_index
 };
 
+/// The packed global states one transfer search has visited: open
+/// addressing with linear probing over a power-of-two table.  ~0 marks an
+/// empty slot, so the all-ones state (possible only when the packing fills
+/// all 64 bits) is tracked by a flag of its own.
+class packed_state_set {
+  public:
+    /// True when `v` was not in the set yet.
+    bool insert(std::uint64_t v) {
+        if (v == empty) {
+            if (has_all_ones_) return false;
+            has_all_ones_ = true;
+            ++size_;
+            return true;
+        }
+        if (2 * (size_ + 1) > slots_.size()) grow();
+        if (!place(v)) return false;
+        ++size_;
+        return true;
+    }
+
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  private:
+    static constexpr std::uint64_t empty = ~std::uint64_t{0};
+
+    /// Stores `v` unless present; true when stored.
+    bool place(std::uint64_t v) {
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t at = (v * 0x9e3779b97f4a7c15ull) >> shift_;;
+             at = (at + 1) & mask) {
+            if (slots_[at] == v) return false;
+            if (slots_[at] == empty) {
+                slots_[at] = v;
+                return true;
+            }
+        }
+    }
+
+    void grow() {
+        std::vector<std::uint64_t> old(2 * slots_.size(), empty);
+        old.swap(slots_);
+        --shift_;
+        for (const std::uint64_t v : old)
+            if (v != empty) (void)place(v);
+    }
+
+    std::vector<std::uint64_t> slots_ = std::vector<std::uint64_t>(64, empty);
+    unsigned shift_ = 64 - 6;  ///< 64 - log2(slots_.size())
+    std::size_t size_ = 0;
+    bool has_all_ones_ = false;
+};
+
 /// Dense visited scratch, one per thread, shared by every engine: begin()
 /// is O(1), so each search pays one store per joint state and nothing to
 /// reset.
@@ -277,10 +329,7 @@ bool discrim_engine::ensure_universe() const {
 }
 
 std::shared_ptr<const discrim_engine::hyp_tables>
-discrim_engine::hyp_dynamics_locked(const flat_hyp& h) const {
-    const auto it = hyp_cache_.find(h.enc);
-    if (it != hyp_cache_.end()) return it->second;
-
+discrim_engine::hyp_dynamics(const flat_hyp& h) const {
     const std::uint32_t S = uni_.size;
     const std::size_t cols = in_port_.size();
     auto t = std::make_shared<hyp_tables>();
@@ -303,19 +352,18 @@ discrim_engine::hyp_dynamics_locked(const flat_hyp& h) const {
             t->succ[cell] = product_index(st);
         }
     }
-    return hyp_cache_.emplace(h.enc, std::move(t)).first->second;
+    return t;
 }
 
 std::vector<std::uint32_t> discrim_engine::union_classes(
     const std::vector<flat_hyp>& hyps) const {
-    // Lookup/insert under the lock (each table is built exactly once, at
-    // any --jobs); the refinement below reads the immutable tables only.
+    // Each table is built exactly once, at any --jobs; the refinement
+    // below reads the immutable tables only.
     std::vector<std::shared_ptr<const hyp_tables>> tables;
     tables.reserve(hyps.size());
-    {
-        const std::lock_guard<std::mutex> lock(tables_mutex_);
-        for (const flat_hyp& h : hyps)
-            tables.push_back(hyp_dynamics_locked(h));
+    for (const flat_hyp& h : hyps) {
+        tables.push_back(
+            hyp_cache_.get(h.enc, [&] { return hyp_dynamics(h); }));
     }
 
     const std::uint32_t S = uni_.size;
@@ -455,12 +503,12 @@ std::optional<std::vector<global_input>> discrim_engine::flat_search(
             std::uint64_t first_obs = 0;
             for (std::size_t i = 0; i < k; ++i) {
                 next[i] = cur[i];
-                bool fired = false;
+                fire_report fired;
                 const std::uint64_t obs =
                     flat_step(*cs_, *spec_, next[i], in_port_[in],
                               in_sym_[in], hyps[i].ovs.data(),
                               hyps[i].ovs.size(), &fired);
-                progressed = progressed || fired;
+                progressed = progressed || fired.any;
                 if (i == 0) {
                     first_obs = obs;
                 } else if (obs != first_obs) {
@@ -584,16 +632,18 @@ std::optional<std::vector<global_input>> discrim_engine::splitting_sequence(
     for (const flat_hyp& h : hyps)
         key.insert(key.end(), h.enc.begin(), h.enc.end());
 
-    memo_shard& shard = memo_[key_hash{}(key) % memo_shards];
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-        ++cost_record.discrim_memo_hits;
-        return it->second;
-    }
-    ++cost_record.discrim_memo_misses;
-    auto result = compute(hyps, hypotheses, max_joint_states);
-    shard.map.emplace(std::move(key), result);
+    // A miss is counted when this call computes, also when the compute
+    // throws; a caller that waited on a compute that threw then computes
+    // itself, so it counts a miss too.
+    bool computed = false;
+    auto result = memo_[key_hash{}(key) % memo_shards].get(
+        key,
+        [&] {
+            ++cost_record.discrim_memo_misses;
+            return compute(hyps, hypotheses, max_joint_states);
+        },
+        &computed);
+    if (!computed) ++cost_record.discrim_memo_hits;
     return result;
 }
 
@@ -610,22 +660,19 @@ std::shared_ptr<const sequence_replay> discrim_engine::replay_for(
             key.push_back(in.input.id);
         }
     }
-    const std::lock_guard<std::mutex> lock(replay_mutex_);
-    const auto it = replay_cache_.find(key);
-    if (it != replay_cache_.end()) return it->second;
-    // sequence_replay keeps a pointer to the input vector it was built
-    // from, so the cache entry owns a stable copy and the returned handle
-    // aliases the replay inside it.
-    struct cached_replay {
-        std::vector<global_input> inputs;
-        sequence_replay rep;
-        cached_replay(const system& spec, std::vector<global_input> in)
-            : inputs(std::move(in)), rep(spec, inputs) {}
-    };
-    auto holder = std::make_shared<const cached_replay>(*spec_, inputs);
-    std::shared_ptr<const sequence_replay> rep(holder, &holder->rep);
-    replay_cache_.emplace(std::move(key), rep);
-    return rep;
+    return replay_cache_.get(key, [&] {
+        // sequence_replay keeps a pointer to the input vector it was built
+        // from, so the cache entry owns a stable copy and the returned
+        // handle aliases the replay inside it.
+        struct cached_replay {
+            std::vector<global_input> inputs;
+            sequence_replay rep;
+            cached_replay(const system& spec, std::vector<global_input> in)
+                : inputs(std::move(in)), rep(spec, inputs) {}
+        };
+        auto holder = std::make_shared<const cached_replay>(*spec_, inputs);
+        return std::shared_ptr<const sequence_replay>(holder, &holder->rep);
+    });
 }
 
 std::shared_ptr<const std::vector<proposed_test>>
@@ -650,13 +697,86 @@ discrim_engine::structured_proposals(const hypothesis_tracker& tracker,
         const key_type enc = encode_hypothesis(*cs_, {d.to_override()});
         key.insert(key.end(), enc.begin(), enc.end());
     }
-    const std::lock_guard<std::mutex> lock(proposal_mutex_);
-    const auto it = proposal_cache_.find(key);
-    if (it != proposal_cache_.end()) return it->second;
-    auto props = std::make_shared<const std::vector<proposed_test>>(
-        propose_structured_tests(*spec_, tracker, options));
-    proposal_cache_.emplace(std::move(key), props);
-    return props;
+    return proposal_cache_.get(key, [&] {
+        transfer_search transfer;
+        if (cs_->packable) {
+            transfer = [this](machine_id m, state_id s,
+                              const global_search_options& o) {
+                return transfer_from_reset(m, s, o);
+            };
+        }
+        return std::make_shared<const std::vector<proposed_test>>(
+            propose_structured_tests(*spec_, tracker, options, transfer));
+    });
+}
+
+std::optional<std::vector<global_input>> discrim_engine::transfer_from_reset(
+    machine_id m, state_id s, const global_search_options& options) const {
+    detail::require(cs_->packable,
+                    "discrim_engine::transfer_from_reset: system states "
+                    "exceed 64 packed bits");
+    const std::size_t machines = cs_->state_count.size();
+    detail::require(m.value < machines,
+                    "discrim_engine::transfer_from_reset: machine out of "
+                    "range");
+    // The goal as a packed-word compare.  A state the machine does not have
+    // is never reached (the reference search then explores everything).
+    const std::uint64_t goal_mask = cs_->state_mask[m.value]
+                                    << cs_->state_shift[m.value];
+    const std::uint64_t goal_bits = static_cast<std::uint64_t>(s.value)
+                                    << cs_->state_shift[m.value];
+    const bool goal_exists = s.value < cs_->state_count[m.value];
+    const auto at_goal = [&](std::uint64_t st) {
+        return goal_exists && (st & goal_mask) == goal_bits;
+    };
+    if (at_goal(cs_->initial_packed)) return std::vector<global_input>{};
+
+    // Ids outside the system never fire, so they are dropped rather than
+    // aliased onto another machine's dense ids.
+    dyn_bitset avoid(cs_->total);
+    for (const global_transition_id& t : options.avoid) {
+        const std::uint32_t mi = t.machine.value;
+        if (mi < machines && t.transition.value < cs_->machine_offset[mi + 1] -
+                                                      cs_->machine_offset[mi])
+            avoid.set(cs_->dense_id(t));
+    }
+
+    // global_transfer's BFS: the node list doubles as its FIFO frontier,
+    // since every node it keeps is queued in creation order.
+    struct node {
+        std::uint64_t state;
+        std::uint32_t parent;
+        std::uint32_t via;  ///< index into inputs_
+    };
+    std::vector<node> nodes{{cs_->initial_packed, invalid_index, 0}};
+    packed_state_set visited;
+    visited.insert(cs_->initial_packed);
+    fire_report fired{&avoid};
+    for (std::size_t head = 0; head < nodes.size(); ++head) {
+        const std::uint64_t from = nodes[head].state;
+        for (std::size_t in = 0; in < in_port_.size(); ++in) {
+            std::uint64_t st = from;
+            (void)flat_step(*cs_, *spec_, st, in_port_[in], in_sym_[in],
+                            nullptr, 0, &fired);
+            if (options.skip_null_steps && !fired.any) continue;
+            if (fired.avoided) continue;
+            if (!visited.insert(st)) continue;
+            nodes.push_back({st, static_cast<std::uint32_t>(head),
+                             static_cast<std::uint32_t>(in)});
+            if (at_goal(st)) {
+                std::vector<global_input> seq;
+                for (std::uint32_t at =
+                         static_cast<std::uint32_t>(nodes.size() - 1);
+                     nodes[at].parent != invalid_index;
+                     at = nodes[at].parent)
+                    seq.push_back(inputs_[nodes[at].via]);
+                std::reverse(seq.begin(), seq.end());
+                return seq;
+            }
+            if (visited.size() >= options.max_states) return std::nullopt;
+        }
+    }
+    return std::nullopt;
 }
 
 bool observationally_equivalent(const discrim_engine& engine,

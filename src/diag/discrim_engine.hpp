@@ -37,23 +37,30 @@
 //      its end-state/output/destination effects, hypotheses sorted) and the
 //      visited cap.  Many mutants collapse to the same live-hypothesis
 //      signature, so one computed splitting sequence (or equivalence proof)
-//      serves the whole campaign; compute happens under the shard lock, so
-//      hit/miss totals are byte-identical at any --jobs.
+//      serves the whole campaign.  Each key is computed once, outside the
+//      shard lock (util/once_map.hpp): a caller of an in-flight key waits
+//      for it and counts a hit, so hit/miss totals are byte-identical at any
+//      --jobs; a compute that throws caches nothing.
+//
+// The engine also serves the structured Step 6 path: campaign-wide caches
+// of spec replays and Figure-2 proposals, and the proposals' transfer
+// search on packed states (transfer_from_reset).
 //
 // Soundness of the shortcuts is argued in DESIGN.md §5f.  The engine is
 // owned by spec_context, immutable from the caller's view, and safe to
-// share across campaign workers (the per-hypothesis tables are built at
-// most once, under one mutex; the partitions run outside it).
+// share across campaign workers: every cache computes each key at most
+// once and outside its lock, and the partitions read immutable tables.
 #pragma once
 
 #include <array>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 
+#include "cfsm/search.hpp"
 #include "diag/compiled.hpp"
 #include "diag/diagnosis.hpp"
+#include "util/once_map.hpp"
 
 namespace cfsmdiag {
 
@@ -107,6 +114,16 @@ class discrim_engine {
     structured_proposals(const hypothesis_tracker& tracker,
                          const step6_options& options) const;
 
+    /// Step 6's transfer search on the compiled core: the result, the
+    /// thrown error and the simulated_steps of
+    /// global_transfer_to_machine_state(spec, initial_global_state(spec),
+    /// m, s, options), from one flat_step per expanded (state, input) over
+    /// packed states, a flat visited set and a dense avoid bitmap.
+    /// Requires packed states (compiled_spec::packable).
+    [[nodiscard]] std::optional<std::vector<global_input>>
+    transfer_from_reset(machine_id m, state_id s,
+                        const global_search_options& options) const;
+
   private:
     using key_type = std::vector<std::uint32_t>;
     struct key_hash {
@@ -140,12 +157,12 @@ class discrim_engine {
     /// returns false when layer 2 is unavailable (product space over its
     /// caps).
     [[nodiscard]] bool ensure_universe() const;
-    /// Cached per-hypothesis tables; caller holds tables_mutex_.
-    [[nodiscard]] std::shared_ptr<const hyp_tables> hyp_dynamics_locked(
+    /// Builds one hypothesis's tables (hyp_cache_'s computation).
+    [[nodiscard]] std::shared_ptr<const hyp_tables> hyp_dynamics(
         const flat_hyp& h) const;
     /// Moore class per node i * S + u (hypothesis i in product state u) of
-    /// the disjoint union of `hyps`' machines.  Missing tables are built
-    /// under tables_mutex_; the refinement itself runs unlocked.
+    /// the disjoint union of `hyps`' machines.  Each missing table is built
+    /// once, through hyp_cache_.
     [[nodiscard]] std::vector<std::uint32_t> union_classes(
         const std::vector<flat_hyp>& hyps) const;
 
@@ -171,31 +188,24 @@ class discrim_engine {
     mutable std::once_flag universe_once_;
     mutable universe uni_;
 
-    mutable std::mutex tables_mutex_;  ///< guards hyp_cache_ only
-    mutable std::unordered_map<key_type, std::shared_ptr<const hyp_tables>,
-                               key_hash>
+    mutable once_map<key_type, std::shared_ptr<const hyp_tables>, key_hash>
         hyp_cache_;
 
     // --- sharded cross-fault memo (layer 3) -------------------------------
     static constexpr std::size_t memo_shards = 16;
-    struct memo_shard {
-        std::mutex mutex;
-        std::unordered_map<key_type,
-                           std::optional<std::vector<global_input>>, key_hash>
-            map;
-    };
-    mutable std::array<memo_shard, memo_shards> memo_;
+    mutable std::array<once_map<key_type,
+                                std::optional<std::vector<global_input>>,
+                                key_hash>,
+                       memo_shards>
+        memo_;
 
-    mutable std::mutex replay_mutex_;
-    mutable std::unordered_map<key_type,
-                               std::shared_ptr<const sequence_replay>,
-                               key_hash>
+    mutable once_map<key_type, std::shared_ptr<const sequence_replay>,
+                     key_hash>
         replay_cache_;
 
-    mutable std::mutex proposal_mutex_;
-    mutable std::unordered_map<
-        key_type, std::shared_ptr<const std::vector<proposed_test>>,
-        key_hash>
+    mutable once_map<key_type,
+                     std::shared_ptr<const std::vector<proposed_test>>,
+                     key_hash>
         proposal_cache_;
 };
 

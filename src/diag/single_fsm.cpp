@@ -4,10 +4,11 @@ namespace cfsmdiag {
 
 system wrap_single_fsm(fsm machine, symbol_table symbols) {
     for (const auto& t : machine.transitions()) {
-        detail::require(t.kind == output_kind::external,
-                        "wrap_single_fsm: transition '" + t.name +
-                            "' is internal-output; a single FSM has no "
-                            "peer to talk to");
+        detail::require(t.kind == output_kind::external, [&] {
+            return "wrap_single_fsm: transition '" + t.name +
+                   "' is internal-output; a single FSM has no peer to talk "
+                   "to";
+        });
     }
     std::string name = machine.name() + "_sys";
     std::vector<fsm> machines;

@@ -20,14 +20,16 @@ fsm::fsm(std::string name, std::vector<std::string> state_names,
 }
 
 const std::string& fsm::state_name(state_id s) const {
-    detail::require(s.value < state_names_.size(),
-                    "fsm::state_name: state out of range in " + name_);
+    detail::require(s.value < state_names_.size(), [&] {
+        return "fsm::state_name: state out of range in " + name_;
+    });
     return state_names_[s.value];
 }
 
 const transition& fsm::at(transition_id t) const {
-    detail::require(t.value < transitions_.size(),
-                    "fsm::at: transition out of range in " + name_);
+    detail::require(t.value < transitions_.size(), [&] {
+        return "fsm::at: transition out of range in " + name_;
+    });
     return transitions_[t.value];
 }
 
@@ -52,26 +54,32 @@ std::vector<symbol> fsm::inputs_from(state_id s) const {
 }
 
 void fsm::validate() const {
-    detail::require(!state_names_.empty(),
-                    "fsm '" + name_ + "': must have at least one state");
-    detail::require(initial_.value < state_names_.size(),
-                    "fsm '" + name_ + "': initial state out of range");
+    detail::require(!state_names_.empty(), [&] {
+        return "fsm '" + name_ + "': must have at least one state";
+    });
+    detail::require(initial_.value < state_names_.size(), [&] {
+        return "fsm '" + name_ + "': initial state out of range";
+    });
     std::unordered_set<std::uint64_t> keys;
     for (const auto& t : transitions_) {
-        detail::require(t.from.value < state_names_.size(),
-                        "fsm '" + name_ + "': transition '" + t.name +
-                            "' source state out of range");
-        detail::require(t.to.value < state_names_.size(),
-                        "fsm '" + name_ + "': transition '" + t.name +
-                            "' target state out of range");
-        detail::require(!t.input.is_epsilon(),
-                        "fsm '" + name_ + "': transition '" + t.name +
-                            "' must consume a non-ε input");
+        detail::require(t.from.value < state_names_.size(), [&] {
+            return "fsm '" + name_ + "': transition '" + t.name +
+                   "' source state out of range";
+        });
+        detail::require(t.to.value < state_names_.size(), [&] {
+            return "fsm '" + name_ + "': transition '" + t.name +
+                   "' target state out of range";
+        });
+        detail::require(!t.input.is_epsilon(), [&] {
+            return "fsm '" + name_ + "': transition '" + t.name +
+                   "' must consume a non-ε input";
+        });
         detail::require(
-            keys.insert(state_input_key(t.from, t.input)).second,
-            "fsm '" + name_ + "': nondeterministic on (state " +
-                state_names_[t.from.value] + ", input of transition '" +
-                t.name + "')");
+            keys.insert(state_input_key(t.from, t.input)).second, [&] {
+                return "fsm '" + name_ + "': nondeterministic on (state " +
+                       state_names_[t.from.value] +
+                       ", input of transition '" + t.name + "')";
+            });
     }
 }
 

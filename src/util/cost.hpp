@@ -28,8 +28,9 @@ struct cost_counters {
     std::size_t cache_case_skips = 0;      ///< cases resolved w/o simulation
     std::size_t cache_suffix_replays = 0;  ///< snapshot-restore replays
     /// Discrimination engine (diag/discrim_engine.hpp).  Totals are
-    /// deterministic at any --jobs: the memo computes under its shard lock,
-    /// so each distinct key is a miss exactly once.
+    /// deterministic at any --jobs: the memo computes each distinct key once
+    /// (a caller of an in-flight key waits for it), so each key is a miss
+    /// exactly once unless its compute throws.
     std::size_t discrim_joint_states = 0;   ///< joint states expanded (BFS)
     std::size_t discrim_memo_hits = 0;      ///< searches served by the memo
     std::size_t discrim_memo_misses = 0;    ///< searches that computed

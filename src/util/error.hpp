@@ -74,14 +74,11 @@ class usage_error : public error {
 namespace detail {
 
 /// Throws cfsmdiag::error if `cond` is false.  Used for public-API
-/// precondition checks; internal invariants use assert().
-inline void require(bool cond, const std::string& msg) {
-    if (!cond) throw error(msg);
-}
-
-/// Literal-message overload: no std::string is constructed when the check
-/// passes (the std::string overload above pays an allocation per call even
-/// on success — measurably hot inside simulator::apply).
+/// precondition checks; internal invariants use assert().  The message is
+/// a string literal, so a passing check costs one branch.  There is no
+/// std::string overload on purpose: it would build its message on every
+/// call, pass or fail, and accessors such as system::machine run tens of
+/// millions of times per campaign.
 inline void require(bool cond, const char* msg) {
     if (!cond) throw error(msg);
 }
@@ -94,8 +91,11 @@ inline void require(bool cond, MsgFn&& msg) {
     if (!cond) throw error(std::forward<MsgFn>(msg)());
 }
 
-inline void require_model(bool cond, const std::string& msg) {
-    if (!cond) throw model_error(msg);
+/// require() for model_error: the message is built only on failure.
+template <class MsgFn,
+          std::enable_if_t<std::is_invocable_v<MsgFn&>, int> = 0>
+inline void require_model(bool cond, MsgFn&& msg) {
+    if (!cond) throw model_error(std::forward<MsgFn>(msg)());
 }
 
 }  // namespace detail

@@ -4,8 +4,10 @@
 // Step 6 is replayed through an engine-less tracker — across cold and warm
 // contexts at jobs 1 and 2, hypothesis sets on both sides of the splitting
 // tables' size cap, the property that every returned sequence actually
-// splits its hypothesis set, error parity on malformed overrides, and
-// determinism of the engine's counters at any job count.
+// splits its hypothesis set, error parity on malformed overrides,
+// determinism of the engine's counters at any job count, a memo compute
+// that throws, and the flat transfer search and structured proposals
+// against the reference global_transfer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -57,6 +59,36 @@ void expect_engine_matches_reference(
             }
         }
     }
+}
+
+/// The engine's flat transfer search against the reference
+/// global_transfer_to_machine_state from reset: the same result or error
+/// text, and the same cost (simulated steps only).  Returns the flat result.
+std::optional<std::vector<global_input>> expect_transfer_matches_reference(
+    const cfsmdiag::system& spec, const discrim_engine& engine, machine_id m,
+    state_id s, const global_search_options& options) {
+    std::optional<std::vector<global_input>> ref;
+    std::optional<std::vector<global_input>> flat;
+    std::string ref_msg;
+    std::string flat_msg;
+    const cost_counters before = cost_record;
+    try {
+        ref = global_transfer_to_machine_state(
+            spec, initial_global_state(spec), m, s, options);
+    } catch (const error& e) {
+        ref_msg = e.what();
+    }
+    const cost_counters ref_spent = cost_record - before;
+    const cost_counters mid = cost_record;
+    try {
+        flat = engine.transfer_from_reset(m, s, options);
+    } catch (const error& e) {
+        flat_msg = e.what();
+    }
+    EXPECT_EQ(cost_record - mid, ref_spent);
+    EXPECT_EQ(flat, ref);
+    EXPECT_EQ(flat_msg, ref_msg);
+    return flat;
 }
 
 /// Single-override hypothesis per enumerated fault, plus the unmutated
@@ -310,23 +342,28 @@ TEST(discrim_engine, campaign_entries_identical_across_all_configurations) {
 }
 
 TEST(discrim_engine, memo_counters_deterministic_across_jobs) {
-    // Fresh context per run: the sharded memo computes under its lock and
-    // each splitting table is built once under the table lock, so the whole
-    // cost record — replays, simulated steps and replay-cache counters
-    // included — depends only on the workload, not on the worker
-    // interleaving.  sliding_window(4) is small enough
-    // for the splitting tables, so their builds are part of the totals.
+    // Fresh context per run: every engine cache computes each key once
+    // (outside its lock; a caller of an in-flight key waits for it), so the
+    // whole cost record — replays, simulated steps and replay-cache
+    // counters included — depends only on the workload, not on the worker
+    // interleaving.  sliding_window(4) is small enough for the splitting
+    // tables, so their builds are part of the totals.  rtos_round_robin(4)
+    // runs no joint search: its Step 6 is all structured proposals and
+    // spec replays, whose steps are part of the totals.
     const auto ex = paperex::make_paper_example();
     auto paper_faults = enumerate_all_faults(ex.spec);
     if (paper_faults.size() > 60) paper_faults.resize(60);
     const cfsmdiag::system window = models::sliding_window(4);
+    const cfsmdiag::system rtos = models::rtos_round_robin(4);
 
     struct workload {
         const cfsmdiag::system* spec;
         std::vector<single_transition_fault> faults;
     };
     const workload workloads[] = {
-        {&ex.spec, paper_faults}, {&window, enumerate_all_faults(window)}};
+        {&ex.spec, paper_faults},
+        {&window, enumerate_all_faults(window)},
+        {&rtos, enumerate_all_faults(rtos)}};
     for (const workload& w : workloads) {
         SCOPED_TRACE(w.spec->name());
         const test_suite suite = transition_tour(*w.spec).suite;
@@ -339,8 +376,16 @@ TEST(discrim_engine, memo_counters_deterministic_across_jobs) {
             const campaign_metrics& m = e.metrics();
             if (jobs == 1) {
                 first = m;
-                EXPECT_GT(m.discrim_memo_hits + m.discrim_memo_misses, 0u);
-                EXPECT_GT(m.discrim_bfs_searches, 0u);
+                if (w.spec == &rtos) {
+                    // Proposals and replays only: no joint search at all.
+                    EXPECT_EQ(m.discrim_memo_hits + m.discrim_memo_misses,
+                              0u);
+                    EXPECT_GT(m.additional_tests, 0u);
+                } else {
+                    EXPECT_GT(m.discrim_memo_hits + m.discrim_memo_misses,
+                              0u);
+                    EXPECT_GT(m.discrim_bfs_searches, 0u);
+                }
                 continue;
             }
             EXPECT_EQ(static_cast<const cost_counters&>(m), first);
@@ -348,6 +393,168 @@ TEST(discrim_engine, memo_counters_deterministic_across_jobs) {
         if (w.spec == &window) {
             EXPECT_GT(first.discrim_table_answers, 0u);
         }
+    }
+}
+
+TEST(discrim_engine, memo_compute_that_throws_stays_retryable) {
+    // A query whose compute runs out of budget is not cached: the same
+    // query without a budget then counts a miss, computes, and returns the
+    // reference answer; only the call after that is a hit.
+    const auto ex = paperex::make_paper_example();
+    const test_suite suite = transition_tour(ex.spec).suite;
+    const spec_context ctx(ex.spec, suite);
+    const auto all = fault_hypotheses(ex.spec);
+    run_budget starved;
+    starved.with_step_quota(0);  // the joint BFS's first poll throws
+
+    bool threw = false;
+    for (std::size_t i = 0; i < all.size() && !threw; ++i) {
+        for (std::size_t j = i + 1; j < all.size() && !threw; ++j) {
+            const std::vector<std::vector<transition_override>> hyps{
+                all[i], all[j]};
+            const cost_counters before = cost_record;
+            try {
+                const budget_scope scope(&starved);
+                (void)ctx.discrim().splitting_sequence(hyps, 100'000);
+            } catch (const resource_exhausted&) {
+                threw = true;
+            }
+            // Answered without a joint BFS (and cached): try the next pair.
+            if (!threw) continue;
+            SCOPED_TRACE("pair " + std::to_string(i) + "," +
+                         std::to_string(j));
+            EXPECT_EQ((cost_record - before).discrim_memo_misses, 1u);
+            EXPECT_EQ((cost_record - before).discrim_memo_hits, 0u);
+
+            const auto ref = splitting_sequence(ex.spec, hyps, 100'000);
+            const cost_counters retry_base = cost_record;
+            EXPECT_EQ(ctx.discrim().splitting_sequence(hyps, 100'000), ref);
+            const cost_counters retry = cost_record - retry_base;
+            EXPECT_EQ(retry.discrim_memo_misses, 1u);
+            EXPECT_EQ(retry.discrim_memo_hits, 0u);
+            EXPECT_EQ(retry.discrim_bfs_searches, 1u);
+
+            const cost_counters hit_base = cost_record;
+            EXPECT_EQ(ctx.discrim().splitting_sequence(hyps, 100'000), ref);
+            const cost_counters hit = cost_record - hit_base;
+            EXPECT_EQ(hit.discrim_memo_misses, 0u);
+            EXPECT_EQ(hit.discrim_memo_hits, 1u);
+        }
+    }
+    EXPECT_TRUE(threw) << "no query reached the budgeted joint BFS";
+}
+
+TEST(discrim_engine, transfer_search_identity_with_reference) {
+    // Every (machine, state) goal, plus one state the machine does not
+    // have; avoid sets empty, each single transition and each machine's
+    // whole transition set; visited caps 1, 2, 3 and the default.
+    std::vector<cfsmdiag::system> systems;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        rng random(seed);
+        random_system_options opts;
+        opts.machines = 2;
+        opts.states_per_machine = 3;
+        opts.extra_transitions = 4;
+        systems.push_back(random_system(opts, random));
+    }
+    systems.push_back(models::sliding_window(4));
+    systems.push_back(models::rtos_round_robin(3));
+    systems.push_back(models::token_ring3());
+
+    std::size_t found = 0;
+    std::size_t blocked = 0;
+    for (const cfsmdiag::system& sys : systems) {
+        const test_suite suite = transition_tour(sys).suite;
+        const spec_context ctx(sys, suite);
+        ASSERT_TRUE(ctx.compiled().packable);
+        std::vector<std::vector<global_transition_id>> avoid_sets{{}};
+        for (const global_transition_id& t : sys.all_transitions())
+            avoid_sets.push_back({t});
+        for (std::uint32_t mi = 0; mi < sys.machine_count(); ++mi) {
+            std::vector<global_transition_id> whole;
+            for (const global_transition_id& t : sys.all_transitions())
+                if (t.machine.value == mi) whole.push_back(t);
+            avoid_sets.push_back(std::move(whole));
+        }
+        for (std::uint32_t mi = 0; mi < sys.machine_count(); ++mi) {
+            const machine_id m{mi};
+            const auto states =
+                static_cast<std::uint32_t>(sys.machine(m).state_count());
+            for (std::uint32_t s = 0; s <= states; ++s) {
+                for (std::size_t a = 0; a < avoid_sets.size(); ++a) {
+                    for (const std::size_t cap :
+                         {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                          global_search_options{}.max_states}) {
+                        SCOPED_TRACE(sys.name() + ", machine " +
+                                     std::to_string(mi) + ", state " +
+                                     std::to_string(s) + ", avoid set " +
+                                     std::to_string(a) + ", cap " +
+                                     std::to_string(cap));
+                        global_search_options o;
+                        o.avoid = avoid_sets[a];
+                        o.max_states = cap;
+                        const auto seq = expect_transfer_matches_reference(
+                            sys, ctx.discrim(), m, state_id{s}, o);
+                        if (seq && !seq->empty()) ++found;
+                        if (!seq && s < states) ++blocked;
+                    }
+                }
+            }
+        }
+    }
+    // Both outcomes occur, so the comparisons above checked both.
+    EXPECT_GT(found, 0u);
+    EXPECT_GT(blocked, 0u);
+}
+
+TEST(discrim_engine, structured_proposals_identity_over_campaign_live_sets) {
+    // Every live set Step 6 holds in a Figure-1 and an rtos_round_robin(3)
+    // campaign: the initial diagnoses, then the survivors of each applied
+    // test.  The engine's proposals (flat transfer search) equal the
+    // reference derivation (global_transfer).
+    const auto ex = paperex::make_paper_example();
+    const cfsmdiag::system rtos = models::rtos_round_robin(3);
+    const test_suite rtos_suite = transition_tour(rtos).suite;
+    struct workload {
+        const cfsmdiag::system* spec;
+        const test_suite* suite;
+    };
+    for (const workload& w :
+         {workload{&ex.spec, &ex.suite}, workload{&rtos, &rtos_suite}}) {
+        SCOPED_TRACE(w.spec->name());
+        const spec_context ctx(*w.spec, *w.suite);
+        ASSERT_TRUE(ctx.compiled().packable);
+        std::size_t live_sets = 0;
+        std::size_t proposals = 0;
+        for (const auto& fault : enumerate_all_faults(*w.spec)) {
+            SCOPED_TRACE(describe(*w.spec, fault));
+            simulated_iut iut(*w.spec, fault);
+            const auto result = diagnose(ctx, iut);
+            hypothesis_tracker tracker(*w.spec, result.initial_diagnoses);
+            for (std::size_t i = 0;; ++i) {
+                if (tracker.count() >= 2) {
+                    ++live_sets;
+                    const auto flat =
+                        ctx.discrim().structured_proposals(tracker, {});
+                    const auto ref =
+                        propose_structured_tests(*w.spec, tracker, {});
+                    ASSERT_EQ(flat->size(), ref.size());
+                    for (std::size_t p = 0; p < ref.size(); ++p) {
+                        EXPECT_EQ((*flat)[p].tc.name, ref[p].tc.name);
+                        EXPECT_EQ((*flat)[p].tc.inputs, ref[p].tc.inputs);
+                        EXPECT_EQ((*flat)[p].suspect, ref[p].suspect);
+                        EXPECT_EQ((*flat)[p].purpose, ref[p].purpose);
+                    }
+                    proposals += ref.size();
+                }
+                if (i == result.additional_tests.size()) break;
+                const additional_test_record& rec =
+                    result.additional_tests[i];
+                (void)tracker.apply_result(rec.tc.inputs, rec.observed);
+            }
+        }
+        EXPECT_GT(live_sets, 0u);
+        EXPECT_GT(proposals, 0u);
     }
 }
 

@@ -1,8 +1,15 @@
-// Unit tests for fsm/symbol, fsm/fsm, fsm/builder.
+// Unit tests for fsm/symbol, fsm/fsm, fsm/builder, and the exact
+// precondition messages of the hot accessors, a constructor check and the
+// compact test-case parser.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <typeinfo>
+
+#include "cfsm/system.hpp"
 #include "fsm/builder.hpp"
 #include "fsm/dot.hpp"
+#include "testgen/testcase.hpp"
 
 namespace cfsmdiag {
 namespace {
@@ -162,6 +169,47 @@ TEST(dot_test, renders_states_edges_and_internal_style) {
     EXPECT_NE(dot.find("t1: a/x"), std::string::npos);
     EXPECT_NE(dot.find("=> M3"), std::string::npos);
     EXPECT_NE(dot.find("style=bold"), std::string::npos);
+}
+
+/// Runs `f`, which must throw cfsmdiag::error itself (no subclass) with
+/// exactly the message `text`.  The messages are built lazily, only on
+/// failure, so nothing else would notice a changed text.
+template <class F>
+void expect_error_text(F&& f, const std::string& text) {
+    try {
+        f();
+        ADD_FAILURE() << "no error thrown, expected: " << text;
+    } catch (const error& e) {
+        EXPECT_EQ(typeid(e), typeid(error)) << typeid(e).name();
+        EXPECT_EQ(std::string(e.what()), text);
+    }
+}
+
+TEST(precondition_message_test, out_of_range_accessors) {
+    symbol_table t;
+    fsm_builder b("M", t);
+    b.external("t1", "s0", "a", "x", "s1");
+    const fsm m = b.build("s0");
+    expect_error_text([&] { (void)m.at(transition_id{1}); },
+                      "fsm::at: transition out of range in M");
+    expect_error_text([&] { (void)m.state_name(state_id{2}); },
+                      "fsm::state_name: state out of range in M");
+    const cfsmdiag::system sys("S", t, {m});
+    expect_error_text([&] { (void)sys.machine(machine_id{1}); },
+                      "system 'S': machine index out of range");
+}
+
+TEST(precondition_message_test, constructor_check) {
+    expect_error_text(
+        [] { (void)fsm("M", {"s0", "s1"}, state_id{2}, {}); },
+        "fsm 'M': initial state out of range");
+}
+
+TEST(precondition_message_test, parse_compact_empty_token) {
+    symbol_table t;
+    (void)t.intern("a");
+    expect_error_text([&] { (void)parse_compact("tc", "a1,,a1", t); },
+                      "parse_compact: empty token in 'a1,,a1'");
 }
 
 }  // namespace

@@ -1,11 +1,17 @@
 // Unit tests for util: rng, table rendering, string helpers, thread pool
-// exception propagation.
+// exception propagation, and the compute-once map's threading contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <future>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "util/error.hpp"
+#include "util/once_map.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -162,6 +168,77 @@ TEST(strings_test, join_split_trim) {
     EXPECT_EQ(trim("  x  "), "x");
     EXPECT_EQ(trim("   "), "");
     EXPECT_EQ(fmt_double(3.14159, 2), "3.14");
+}
+
+using int_once_map = once_map<int, int, std::hash<int>>;
+
+TEST(once_map_test, a_throwing_compute_leaves_the_key_retryable) {
+    int_once_map map;
+    int runs = 0;
+    bool computed = false;
+    EXPECT_THROW((void)map.get(
+                     1,
+                     [&]() -> int {
+                         ++runs;
+                         throw error("boom");
+                     },
+                     &computed),
+                 error);
+    EXPECT_TRUE(computed);
+    EXPECT_EQ(map.get(1, [&] { return ++runs * 10; }, &computed), 20);
+    EXPECT_TRUE(computed);
+    EXPECT_EQ(map.get(1, [&] { return ++runs * 10; }, &computed), 20);
+    EXPECT_FALSE(computed);
+    EXPECT_EQ(runs, 2);
+}
+
+TEST(once_map_test, concurrent_callers_share_one_compute_per_key) {
+    int_once_map map;
+    std::atomic<int> runs{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < 200; ++i) {
+                const int key = (i * (t + 1)) % 50;
+                EXPECT_EQ(map.get(key,
+                                  [&] {
+                                      ++runs;
+                                      return key * key;
+                                  }),
+                          key * key);
+            }
+        });
+    }
+    for (std::thread& th : threads) th.join();
+    EXPECT_EQ(runs.load(), 50);
+}
+
+TEST(once_map_test, a_waiter_on_a_failed_compute_computes_itself) {
+    // The first caller claims the key and throws while the second is on
+    // its way in.  Whether the second caller waits or arrives after the
+    // throw, the key is unpublished for it, so it computes.
+    int_once_map map;
+    std::promise<void> claimed;
+    std::promise<void> second_started;
+    std::thread first([&] {
+        EXPECT_THROW((void)map.get(7,
+                                   [&]() -> int {
+                                       claimed.set_value();
+                                       second_started.get_future().wait();
+                                       std::this_thread::sleep_for(
+                                           std::chrono::milliseconds(20));
+                                       throw error("out of budget");
+                                   }),
+                     error);
+    });
+    claimed.get_future().wait();
+    second_started.set_value();
+    bool computed = false;
+    EXPECT_EQ(map.get(7, [] { return 49; }, &computed), 49);
+    EXPECT_TRUE(computed);
+    first.join();
+    EXPECT_EQ(map.get(7, [] { return 0; }, &computed), 49);
+    EXPECT_FALSE(computed);
 }
 
 }  // namespace

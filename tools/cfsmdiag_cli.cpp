@@ -39,7 +39,7 @@ using namespace cfsmdiag;
 
 std::string slurp(const std::string& path) {
     std::ifstream in(path);
-    detail::require(in.good(), "cannot open file: " + path);
+    detail::require(in.good(), [&] { return "cannot open file: " + path; });
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
@@ -487,7 +487,8 @@ void write_campaign_json(const std::string& path, const cfsmdiag::system& sys,
                          const campaign_stats& stats,
                          const campaign_metrics& metrics) {
     std::ofstream jout(path);
-    detail::require(jout.good(), "cannot write file: " + path);
+    detail::require(jout.good(),
+                    [&] { return "cannot write file: " + path; });
     // The streaming overload renders entry-by-entry, so the report costs
     // one entry of memory even for very large campaigns.
     campaign_to_json(jout, sys, stats, metrics);

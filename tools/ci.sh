@@ -90,13 +90,18 @@ cmake -B "${tsan_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 echo "=== [tsan] build engine tests ==="
 cmake --build "${tsan_dir}" -j "${JOBS}" \
       --target campaign_engine_test discrim_engine_test bitset_test \
-      property_test budget_test cfsmdiag_cli
+      property_test budget_test util_test cfsmdiag_cli
 echo "=== [tsan] run ==="
 "${tsan_dir}/tests/campaign_engine_test"
-# The discrimination engine's lazily-built tables, sharded memo and replay/
-# proposal caches are shared across campaign workers — the jobs-2 identity
-# and jobs-4 counter-determinism tests are the racy surface.
+# The discrimination engine's caches (splitting tables, sharded memo,
+# replay and proposal caches) are shared across campaign workers.  Each
+# computes a key outside its lock while other callers of that key wait
+# (util/once_map.hpp) — the jobs-2 identity, jobs-4 counter-determinism and
+# throwing-compute tests are the racy surface, and util_test's once_map
+# tests drive the wait/claim/retry protocol directly from several threads.
 "${tsan_dir}/tests/discrim_engine_test"
+"${tsan_dir}/tests/util_test" --gtest_filter='once_map_test.*'
+
 # The compiled core is shared read-only across workers (one spec_context per
 # engine); the bitset/property tests run here to catch races in the arena
 # and table sharing.
